@@ -55,78 +55,15 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape: both ns/fact columns stay flat as ||D|| "
               "doubles (linear preprocessing).\n");
 
-  // E2t: the chase's sharded match phase across worker lanes at the largest
-  // sweep size. Speedup is bounded by the machine's cores (a 1-core CI
-  // container shows ~1x throughout — the interesting signal there is that
-  // threading never LOSES more than the fork/join overhead); the rows also
-  // re-verify bit-identity against the 1-thread artifact, so the bench
-  // doubles as an end-to-end determinism check on real workload sizes.
-  bench::PrintHeader("E2t: chase thread sweep (largest office size)",
-                     "threads   chase_ms   speedup   identical");
-  {
-    const uint32_t n = smoke ? 500u : 160000u;
-    Vocabulary vocab;
-    Database db(&vocab);
-    OfficeParams params;
-    params.researchers = n;
-    GenerateOffice(params, &db);
-    OMQ omq = OfficeOMQ(&vocab);
-
-    double base_ms = 0;
-    std::shared_ptr<const ChaseResult> base;
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      QdcOptions options;
-      options.num_threads = threads;
-      Stopwatch watch;
-      auto chase = QueryDirectedChase(db, omq.ontology, omq.query, options);
-      double ms = watch.ElapsedSeconds() * 1e3;
-      if (!chase.ok()) return 1;
-      bool identical = true;
-      if (threads == 1) {
-        base_ms = ms;
-        base = *chase;
-      } else {
-        const Database& a = base->db;
-        const Database& b = (*chase)->db;
-        identical = a.TotalFacts() == b.TotalFacts() &&
-                    a.NullHighWater() == b.NullHighWater() &&
-                    base->blocks.size() == (*chase)->blocks.size();
-        for (RelId r = 0; identical && r < a.NumRelationSlots(); ++r) {
-          identical = a.NumRows(r) == b.NumRows(r);
-          for (uint32_t row = 0; identical && row < a.NumRows(r); ++row) {
-            for (uint32_t i = 0; i < a.Arity(r); ++i) {
-              identical &= a.Row(r, row)[i] == b.Row(r, row)[i];
-            }
-          }
-        }
-        if (!identical) {
-          std::fprintf(stderr, "FATAL: %u-thread chase differs from 1-thread\n",
-                       threads);
-          return 1;
-        }
-      }
-      std::printf("%7u   %8.1f   %7.2fx   %9s\n", threads, ms,
-                  ms > 0 ? base_ms / ms : 0.0, identical ? "yes" : "NO");
-      json.AddRow("E2t")
-          .Set("threads", threads)
-          .Set("facts", db.TotalFacts())
-          .Set("chase_ms", ms)
-          .Set("speedup", ms > 0 ? base_ms / ms : 0.0)
-          .Set("identical", 1);
-    }
-  }
-  std::printf("\nExpected shape: chase_ms shrinks with threads up to the "
-              "core count; identical stays yes everywhere.\n");
-
-  // E2obs: observability overhead on the E2t chase path — the same
-  // single-thread chase with tracing disarmed vs armed (armed adds three
-  // ScopedSpans per chase round: round / match / apply). The acceptance
+  // E2obs: observability overhead on the query-directed chase at the
+  // largest office size — the same chase with tracing disarmed vs armed
+  // (armed adds three ScopedSpans per chase round: round / match / apply). The acceptance
   // budget is <= 2% overhead; reps are interleaved (disarmed, armed,
   // disarmed, ...) and each side takes its min so allocator/page-cache
   // drift hits both sides equally instead of masquerading as
   // instrumentation cost (CI's perf-smoke gates on the emitted
   // overhead_pct).
-  bench::PrintHeader("E2obs: tracing overhead on the chase (1 thread)",
+  bench::PrintHeader("E2obs: tracing overhead on the chase",
                      "armed   chase_ms   overhead_pct");
   {
     const uint32_t n = smoke ? 4000u : 160000u;
@@ -178,19 +115,16 @@ int main(int argc, char** argv) {
   std::printf("\nExpected shape: overhead_pct stays within the 2%% "
               "observability budget.\n");
 
-  // E2a: apply-heavy thread sweep. The office workload is match-dominated
-  // (few existentials fire), so E2t mostly measures phase A. This series
-  // chases an invention-dense chain ontology — every round invents nulls
-  // for most candidates — so phase B (claim / prefix-sum / materialize)
-  // carries the round. apply_ms comes from the engine's own phase timer
-  // (ChaseStats::apply_nanos), match_ms from match_nanos; their sum tracks
-  // but does not equal chase_ms (reserve + delta bookkeeping sit outside
-  // both). Single-core CI containers show ~1x speedup; the regression
-  // signal there is apply_ms staying within a few percent of the 1-thread
-  // row (fork/join + claim-table overhead), plus the bit-identity check.
-  bench::PrintHeader("E2a: apply-heavy thread sweep (invention-dense chain)",
-                     "threads   chase_ms   match_ms   apply_ms   speedup   "
-                     "identical");
+  // E2a: apply-heavy chase. The office workload is match-dominated (few
+  // existentials fire); this series chases an invention-dense chain
+  // ontology — every round invents nulls for most candidates — so phase B
+  // (apply) carries the round. apply_ms comes from the engine's own phase
+  // timer (ChaseStats::apply_nanos), match_ms from match_nanos; their sum
+  // tracks but does not equal chase_ms (reserve + delta bookkeeping sit
+  // outside both).
+  bench::PrintHeader("E2a: apply-heavy chase (invention-dense chain)",
+                     "seed_pairs   chase_ms   match_ms   apply_ms   "
+                     "nulls_invented");
   {
     Vocabulary vocab;
     Database db(&vocab);
@@ -212,62 +146,25 @@ int main(int argc, char** argv) {
       }
     }
 
-    double base_ms = 0;
-    std::unique_ptr<ChaseResult> base;
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      ChaseOptions options;
-      options.null_depth = 3;
-      options.num_threads = threads;
-      Stopwatch watch;
-      auto chase = RunChase(db, onto, options);
-      double ms = watch.ElapsedSeconds() * 1e3;
-      if (!chase.ok()) return 1;
-      const ChaseStats& stats = (*chase)->stats;
-      bool identical = true;
-      if (threads == 1) {
-        base_ms = ms;
-        base = std::move(*chase);
-      } else {
-        const Database& a = base->db;
-        const Database& b = (*chase)->db;
-        identical = a.TotalFacts() == b.TotalFacts() &&
-                    a.NullHighWater() == b.NullHighWater() &&
-                    base->blocks.size() == (*chase)->blocks.size() &&
-                    base->truncated == (*chase)->truncated;
-        for (RelId r = 0; identical && r < a.NumRelationSlots(); ++r) {
-          identical = a.NumRows(r) == b.NumRows(r);
-          for (uint32_t row = 0; identical && row < a.NumRows(r); ++row) {
-            for (uint32_t i = 0; i < a.Arity(r); ++i) {
-              identical &= a.Row(r, row)[i] == b.Row(r, row)[i];
-            }
-          }
-        }
-        if (!identical) {
-          std::fprintf(stderr,
-                       "FATAL: %u-thread apply differs from 1-thread\n",
-                       threads);
-          return 1;
-        }
-      }
-      double match_ms = static_cast<double>(stats.match_nanos) / 1e6;
-      double apply_ms = static_cast<double>(stats.apply_nanos) / 1e6;
-      std::printf("%7u   %8.1f   %8.1f   %8.1f   %7.2fx   %9s\n", threads, ms,
-                  match_ms, apply_ms, ms > 0 ? base_ms / ms : 0.0,
-                  identical ? "yes" : "NO");
-      json.AddRow("E2a")
-          .Set("threads", threads)
-          .Set("seed_pairs", seed_pairs)
-          .Set("chase_ms", ms)
-          .Set("match_ms", match_ms)
-          .Set("apply_ms", apply_ms)
-          .Set("nulls_invented", stats.nulls_invented)
-          .Set("parallel_rounds", stats.parallel_rounds)
-          .Set("speedup", ms > 0 ? base_ms / ms : 0.0)
-          .Set("identical", 1);
-    }
+    ChaseOptions options;
+    options.null_depth = 3;
+    Stopwatch watch;
+    auto chase = RunChase(db, onto, options);
+    double ms = watch.ElapsedSeconds() * 1e3;
+    if (!chase.ok()) return 1;
+    const ChaseStats& stats = (*chase)->stats;
+    double match_ms = static_cast<double>(stats.match_nanos) / 1e6;
+    double apply_ms = static_cast<double>(stats.apply_nanos) / 1e6;
+    std::printf("%10u   %8.1f   %8.1f   %8.1f   %14llu\n", seed_pairs, ms,
+                match_ms, apply_ms,
+                static_cast<unsigned long long>(stats.nulls_invented));
+    json.AddRow("E2a")
+        .Set("seed_pairs", seed_pairs)
+        .Set("chase_ms", ms)
+        .Set("match_ms", match_ms)
+        .Set("apply_ms", apply_ms)
+        .Set("nulls_invented", stats.nulls_invented);
   }
-  std::printf("\nExpected shape: apply_ms dominates match_ms and shrinks "
-              "with threads up to the core count; identical stays yes "
-              "everywhere.\n");
+  std::printf("\nExpected shape: apply_ms dominates match_ms.\n");
   return 0;
 }

@@ -214,36 +214,6 @@ int main(int argc, char** argv) {
     json.AddRow("S3").Set("researchers", n).Set("fetch_", stats);
   }
 
-  bench::PrintHeader("S4: PREPARE latency vs --prepare-threads",
-                     "researchers   threads   prepare_ms   speedup");
-  for (uint32_t n : bench::Sweep(smoke, {40000u}, 200u)) {
-    double base_ms = 0;
-    for (uint32_t threads : {1u, 2u, 4u, 8u}) {
-      Env env(n);
-      server::ServerOptions options;
-      options.registry.prepare_threads = threads;
-      server::OmqeServer srv(&env.vocab, &env.onto, &env.db, options);
-      server::InProcessClient client(&srv);
-      Stopwatch watch;
-      std::string r =
-          client.Roundtrip(std::string("PREPARE q ") + kOfficeQueryText);
-      double prepare_ms = watch.ElapsedSeconds() * 1e3;
-      if (server::IsError(r)) {
-        std::fprintf(stderr, "%s", r.c_str());
-        return 1;
-      }
-      if (threads == 1) base_ms = prepare_ms;
-      double speedup = prepare_ms > 0 ? base_ms / prepare_ms : 0;
-      std::printf("%11u   %7u   %10.1f   %6.2fx\n", n, threads, prepare_ms,
-                  speedup);
-      json.AddRow("S4")
-          .Set("researchers", n)
-          .Set("threads", threads)
-          .Set("prepare_ms", prepare_ms)
-          .Set("speedup", speedup);
-    }
-  }
-
   bench::PrintHeader(
       "S5: overload shedding under a hammering client fleet (bounded queue)",
       "threads   clients   offered   completed   shed   shed_pct   wall_ms");

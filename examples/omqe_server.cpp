@@ -163,9 +163,6 @@ int main(int argc, char** argv) {
     } else if (const char* v = value("--host=")) host = v;
     else if (const char* v = value("--threads=")) {
       options.threads = static_cast<uint32_t>(numeric(v, UINT32_MAX, &n));
-    } else if (const char* v = value("--prepare-threads=")) {
-      options.registry.prepare_threads =
-          static_cast<uint32_t>(numeric(v, 256, &n));
     } else if (const char* v = value("--max-rows=")) {
       numeric(v, UINT64_MAX, &options.limits.max_rows);
     } else if (const char* v = value("--max-sessions=")) {

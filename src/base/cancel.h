@@ -11,7 +11,7 @@
 // Check() is built for hot loops: the cancel flag is one relaxed atomic
 // load every call, but the clock — the expensive part — is only consulted
 // every kClockStride calls (the stride counter is shared across threads, so
-// N shard workers polling one token still read the clock at the strided
+// several workers polling one token still read the clock at the strided
 // rate). A null token costs a single pointer compare via CheckCancel().
 #ifndef OMQE_BASE_CANCEL_H_
 #define OMQE_BASE_CANCEL_H_

@@ -1,12 +1,11 @@
 // Tiny test-and-set lock for critical sections a few dozen nanoseconds
-// long — per-stripe claim-table sections in the parallel chase, per-session
-// cursor stepping in the server. A full std::mutex is overkill there:
-// striping/one-client-per-session makes contention rare, and parking in the
-// kernel would put a mutex back on paths engineered to have none. After a
-// bounded busy-wait the loop yields the timeslice: on an oversubscribed
-// machine (8 lanes on a 1-core CI container) the holder may be preempted
-// mid-section, and spinning through its whole quantum turns a 20ns critical
-// section into a multi-millisecond stall.
+// long — per-session cursor stepping in the server. A full std::mutex is
+// overkill there: one client per session makes contention rare, and parking
+// in the kernel would put a mutex back on a path engineered to have none.
+// After a bounded busy-wait the loop yields the timeslice: on an
+// oversubscribed machine (8 threads on a 1-core CI container) the holder may
+// be preempted mid-section, and spinning through its whole quantum turns a
+// 20ns critical section into a multi-millisecond stall.
 #ifndef OMQE_BASE_SPINLOCK_H_
 #define OMQE_BASE_SPINLOCK_H_
 

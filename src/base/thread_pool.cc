@@ -1,8 +1,5 @@
 #include "base/thread_pool.h"
 
-#include <atomic>
-#include <memory>
-
 #include "base/status.h"
 
 namespace omqe {
@@ -62,56 +59,6 @@ void ThreadPool::WorkerLoop() {
     }
     job();
   }
-}
-
-namespace {
-
-/// Shared fork/join state for one RunShards call. Heap-allocated and
-/// shared_ptr-held by every helper job: a job scheduled after the barrier
-/// already released (it claimed no shard) still touches only its own copy
-/// of the state, never the caller's dead stack frame.
-struct ShardBarrier {
-  std::atomic<uint32_t> next{0};
-  std::atomic<uint32_t> done{0};
-  std::mutex mu;
-  std::condition_variable cv;
-};
-
-}  // namespace
-
-void ThreadPool::RunShards(uint32_t shards,
-                           const std::function<void(uint32_t)>& fn) {
-  if (shards == 0) return;
-  if (shards == 1) {
-    fn(0);
-    return;
-  }
-  auto state = std::make_shared<ShardBarrier>();
-  const std::function<void(uint32_t)>* fn_ptr = &fn;
-  // Claim-then-work: a helper dereferences fn only for a claimed shard, and
-  // all shards are claimed before the caller can return — so the pointer
-  // never outlives its use. The acq_rel increments of `done` form one
-  // release sequence; the caller's acquire read of the final count
-  // therefore synchronizes with every shard's writes.
-  auto work = [state, shards, fn_ptr] {
-    for (;;) {
-      uint32_t s = state->next.fetch_add(1, std::memory_order_relaxed);
-      if (s >= shards) return;
-      (*fn_ptr)(s);
-      if (state->done.fetch_add(1, std::memory_order_acq_rel) + 1 == shards) {
-        std::lock_guard<std::mutex> lock(state->mu);
-        state->cv.notify_all();
-      }
-    }
-  };
-  // The caller takes shards too, so at most shards-1 helpers are useful.
-  uint32_t helpers = num_threads() < shards - 1 ? num_threads() : shards - 1;
-  for (uint32_t i = 0; i < helpers; ++i) Submit(work);
-  work();
-  std::unique_lock<std::mutex> lock(state->mu);
-  state->cv.wait(lock, [&state, shards] {
-    return state->done.load(std::memory_order_acquire) == shards;
-  });
 }
 
 }  // namespace omqe

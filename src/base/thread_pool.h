@@ -1,12 +1,9 @@
-// Fixed-size worker pool, shared by the serving transports (long-lived
-// request jobs via Submit) and the chase engine's round-scoped sharding
-// (RunShards: a fork/join barrier over a fixed shard count).
+// Fixed-size worker pool for the server's requests: each request is one
+// job, queued through the bounded TrySubmit so an overloaded server sheds
+// instead of queueing without limit.
 //
 // The pool is deliberately dumb: no work stealing, no priorities. Jobs run
-// in submission order; RunShards distributes shard ids through an atomic
-// ticket so an uneven shard costs at most one idle lane, and the calling
-// thread works too — a pool of N-1 workers plus the caller saturates N
-// cores without parking the caller on a condition variable until the tail.
+// in submission order.
 #ifndef OMQE_BASE_THREAD_POOL_H_
 #define OMQE_BASE_THREAD_POOL_H_
 
@@ -33,8 +30,8 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  /// Enqueues one job; jobs start in submission order. Never rejects —
-  /// internal work (RunShards helpers) must not be shed.
+  /// Enqueues one job; jobs start in submission order. Never rejects, for
+  /// work that must not be shed.
   void Submit(std::function<void()> job);
 
   /// Bounded enqueue: false (job not queued) when max_pending jobs are
@@ -43,12 +40,6 @@ class ThreadPool {
 
   /// Jobs waiting to start (excludes jobs currently running).
   size_t pending() const;
-
-  /// Runs fn(shard) for every shard in [0, shards) across the workers AND
-  /// the calling thread, returning only when all shards finished (a
-  /// barrier: every write a shard made happens-before the return). fn must
-  /// not call Submit or RunShards on the same pool from inside a shard.
-  void RunShards(uint32_t shards, const std::function<void(uint32_t)>& fn);
 
   uint32_t num_threads() const {
     return static_cast<uint32_t>(workers_.size());

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <memory>
 
-#include "base/concurrent_tuple_map.h"
 #include "base/fault.h"
 #include "base/flat_hash.h"
-#include "base/thread_pool.h"
 #include "base/timer.h"
 #include "base/trace.h"
 #include "chase/estimate.h"
@@ -17,15 +15,6 @@ namespace omqe {
 namespace {
 
 constexpr Value kUnbound = 0xffffffffu;
-
-// States of the shared application-dedup table (ConcurrentTupleMap value).
-// A key is an application (TGD id + body values); its value is either a
-// permanent state or, transiently within one round's resolve step, the
-// global candidate ordinal claiming it. kApplied must order BELOW every
-// ordinal (fetch-min keeps it) and kNotApplied ABOVE (any claim beats it),
-// so ordinals live in [1, UINT64_MAX).
-constexpr uint64_t kAppliedState = 0;
-constexpr uint64_t kNotAppliedState = UINT64_MAX;
 
 /// Incremental hash index over one relation, keyed by a set of positions.
 /// Unlike PositionIndex it supports appending rows as the chase grows.
@@ -95,61 +84,6 @@ struct MatchPlan {
   std::vector<PlanStep> steps;
 };
 
-/// Per-shard output and scratch of one match phase (phase A of a delta
-/// round). A shard owns its instance exclusively while enumerating; the
-/// sequential merge (phase B) reads them in shard order. Buffers persist
-/// across rounds (cleared, not freed) so a steady-state round allocates
-/// nothing.
-struct ShardOut {
-  /// Per-round candidate dedup, keyed exactly like the engine's global
-  /// applied_ table (TGD id + body values). Only drops duplicates the
-  /// merge's global table would skip anyway — including re-suppressed
-  /// depth-capped applications, which re-emit in LATER rounds because this
-  /// table is cleared per round — so per-shard dedup never changes the
-  /// applied sequence, it only shrinks the buffers.
-  TupleMap<char> seen;
-  /// Set when a strided cancel checkpoint failed mid-enumeration: the
-  /// shard stops emitting and the round boundary reports the abort. The
-  /// partially filled buffers are never applied.
-  bool aborted = false;
-  /// Set when the chase.apply fault point fired in this shard's resolve
-  /// step; the round boundary turns it into the injected-fault status.
-  bool fault = false;
-  /// Candidate i is tgds[i] plus its body-variable values appended to
-  /// vals in ascending variable-id order (the dedup-key order, which is
-  /// also how the merge reconstructs the assignment from BodyVars bits).
-  std::vector<uint32_t> tgds;
-  std::vector<Value> vals;
-  /// Candidate i's dedup-key hash, computed once in the claim step and
-  /// reused by the winner step's probe — the table is touched twice per
-  /// candidate, the hash is paid once.
-  std::vector<uint64_t> cand_hash;
-
-  // ---- Parallel apply (phase B fan-out) state, valid within one round ----
-  /// Winners of the resolve step, in candidate order: the TGD, the offset
-  /// of its body values in `vals`, the depth its fresh nulls get, and
-  /// whether it roots a fresh block (1) or joins a body null's block (0).
-  std::vector<uint32_t> winner_tgds;
-  std::vector<size_t> winner_offs;
-  std::vector<uint32_t> winner_depths;
-  std::vector<uint8_t> winner_blocks;
-  /// Resolve-step tallies: fresh nulls and fresh blocks this shard's
-  /// winners will invent (inputs of the step-2 prefix sums), and whether
-  /// any winner was suppressed by the depth cap.
-  uint64_t inventions = 0;
-  uint64_t new_blocks = 0;
-  bool capped = false;
-  /// Materialized head facts, in firing order: fact f is fact_rels[f] plus
-  /// the next Arity(fact_rels[f]) values of fact_vals. The merge appends
-  /// them to the database in shard order.
-  std::vector<RelId> fact_rels;
-  std::vector<Value> fact_vals;
-
-  // Scratch reused across candidates (no per-match allocation).
-  std::vector<Value> assign;
-  ValueTuple key;
-};
-
 class ChaseEngine {
  public:
   ChaseEngine(const Database& input, const Ontology& onto, const ChaseOptions& options)
@@ -175,20 +109,15 @@ class ChaseEngine {
       }
     }
 
-    // Every delta round runs the same two-phase pipeline regardless of
-    // thread count. Phase A (EnumerateRound) enumerates candidate body
-    // matches of the round's delta facts against the state as of the round
-    // boundary — strictly read-only, so the live indexes ARE the frozen
-    // prior-round state and shards can probe them concurrently. Phase B
-    // (ApplyCandidates) walks the per-shard candidate buffers in fixed
-    // shard order and applies them sequentially (global dedup, depth cap,
-    // null numbering, index maintenance). Because shards partition the
-    // delta contiguously and merge in order, the applied-candidate
-    // sequence is the 1-shard sequence for every thread count: fact order,
-    // null ids, blocks, and truncation come out bit-identical.
+    // Every delta round runs two phases. Phase A (MatchRound) enumerates
+    // the candidate body matches of the round's delta facts against the
+    // state as of the round boundary — strictly read-only — into one
+    // candidate buffer. Phase B (ApplyRound) fires the candidates in
+    // discovery order through Apply (global dedup, depth cap, null
+    // numbering, index maintenance).
     //
     // A match between a delta fact and a fact created in the SAME round is
-    // not seen in this round (phase A reads the frozen state), but is
+    // not seen in this round (phase A reads the round-start state), but is
     // rediscovered next round from the created fact's own delta plan — the
     // semi-naive argument; the applied_ table fires each body assignment
     // once either way, so the fixpoint fact set is unchanged.
@@ -205,31 +134,25 @@ class ChaseEngine {
       delta_.clear();
       size_t round_est =
           options_.adaptive_reserve ? ReserveForRound(delta.size()) : 0;
-      uint32_t shards = ShardCount(delta.size());
       ChaseStats& stats = result_->stats;
       ++stats.rounds;
-      if (shards > 1) ++stats.parallel_rounds;
-      if (stats.shard_candidates.size() < shards) {
-        stats.shard_candidates.resize(shards, 0);
-        stats.shard_inventions.resize(shards, 0);
-      }
       trace::ScopedSpan round_span("chase.round", delta.size());
       int64_t t0 = NowNanos();
       {
-        trace::ScopedSpan match_span("chase.match", shards);
-        EnumerateRound(delta, shards, round_est);
+        trace::ScopedSpan match_span("chase.match");
+        MatchRound(delta, round_est);
+        match_span.set_arg(cand_tgds_.size());
       }
       stats.match_nanos += static_cast<uint64_t>(NowNanos() - t0);
-      for (uint32_t s = 0; s < shards; ++s) {
-        stats.shard_candidates[s] += shard_out_[s].tgds.size();
-        stats.candidates += shard_out_[s].tgds.size();
-      }
+      stats.candidates += cand_tgds_.size();
+      // A cancel checkpoint that failed mid-match left a partial buffer;
+      // the token stays failed, so this returns before it is applied.
       OMQE_RETURN_IF_ERROR(CheckCancelNow(options_.cancel));
       int64_t t1 = NowNanos();
       Status applied;
       {
-        trace::ScopedSpan apply_span("chase.apply", stats.candidates);
-        applied = ApplyCandidates(shards);
+        trace::ScopedSpan apply_span("chase.apply", cand_tgds_.size());
+        applied = ApplyRound();
       }
       stats.apply_nanos += static_cast<uint64_t>(NowNanos() - t1);
       OMQE_RETURN_IF_ERROR(applied);
@@ -301,8 +224,8 @@ class ChaseEngine {
   /// constant factor of the facts actually created.
   ///
   /// Returns the round's total projected creation (sum over head
-  /// relations, saturating at max_facts): the bound the sharded match
-  /// phase slices per worker for its candidate-buffer reservations.
+  /// relations, saturating at max_facts): the bound the match phase
+  /// reserves its candidate dedup table with.
   size_t ReserveForRound(size_t delta_size) {
     const bool first = head_rows_before_.empty();
     if (first) {
@@ -345,21 +268,16 @@ class ChaseEngine {
         }
       }
     }
-    // Pre-size the shared application-dedup table once per round. Firings
-    // and cap-suppressed applications both cost at most one table entry per
-    // candidate, and candidates are bounded by the same per-shard creation
-    // slice the match phase reserves with (ShardCreationBound), summed back
-    // over the lanes so its skew slack survives. Growth past this is a
-    // stripe-local event — at most ~1 rehash per round (chase_test pins
-    // this through ChaseStats::applied_rehashes).
+    // Pre-size the application-dedup table once per round. Firings and
+    // cap-suppressed applications both cost at most one table entry per
+    // candidate, and candidates track the round's creation estimate; 50%
+    // slack absorbs an under-estimate, so the table grows at most ~once per
+    // round (chase_test pins this through ChaseStats::applied_rehashes).
     if (round_est >= 64) {
-      uint32_t lanes = std::max(2u, ShardCount(delta_size));
-      size_t slice = ShardCreationBound(round_est, lanes);
-      size_t total;
-      if (__builtin_mul_overflow(slice, static_cast<size_t>(lanes), &total)) {
-        total = options_.max_facts;
-      }
-      applied_.Reserve(applied_.size() + std::min(total, options_.max_facts));
+      // round_est <= max_facts, so this is min(1.5 * round_est, max_facts)
+      // without the wrap.
+      applied_.Reserve(applied_.size() + round_est +
+                       std::min(round_est / 2, options_.max_facts - round_est));
     }
     prev_delta_ = delta_size;
     return round_est;
@@ -477,91 +395,50 @@ class ChaseEngine {
     return true;
   }
 
-  /// Shards used for one round's match phase: the configured lanes when the
-  /// delta is big enough to amortize the fork/join, else 1 (tiny tail
-  /// rounds are common and a barrier costs more than the matching).
-  uint32_t ShardCount(size_t delta_size) const {
-    uint32_t threads = options_.num_threads == 0 ? 1 : options_.num_threads;
-    if (threads <= 1 || delta_size < kMinParallelDelta) return 1;
-    return threads;
-  }
-
-  ThreadPool* Pool() {
-    // Lazy: a num_threads=1 chase (the default, and every tail round's
-    // shards==1 case) never spawns a thread. The caller participates in
-    // RunShards, so the pool only needs num_threads - 1 workers.
-    if (pool_ == nullptr) {
-      pool_ = std::make_unique<ThreadPool>(options_.num_threads - 1);
-    }
-    return pool_.get();
-  }
-
-  /// Phase A: enumerate the round's candidate matches into per-shard
-  /// buffers. No writes to the database, indexes, or any shared engine
-  /// state happen anywhere in this phase, so the live structures are
-  /// exactly the frozen prior-round state and every probe is a read.
-  void EnumerateRound(const std::vector<FactRef>& delta, uint32_t shards,
-                      size_t round_est) {
-    if (shard_out_.size() < shards) shard_out_.resize(shards);
-    // Candidates ~ firings, so the round creation bound (sliced with skew
-    // slack) pre-sizes the per-shard dedup tables; clamped the same way as
-    // relation reservations so a saturated estimate cannot bad_alloc.
-    size_t bound = ShardCreationBound(round_est, shards);
-    for (uint32_t s = 0; s < shards; ++s) {
-      ShardOut& out = shard_out_[s];
-      out.seen.clear();
-      out.tgds.clear();
-      out.vals.clear();
-      out.aborted = false;
-      out.fault = false;
-      if (bound >= 64 && bound <= UINT32_MAX) out.seen.Reserve(bound);
-    }
-    auto run = [&](uint32_t s) {
-      size_t begin = delta.size() * s / shards;
-      size_t end = delta.size() * (s + 1) / shards;
-      EnumerateShard(delta, begin, end, &shard_out_[s]);
-    };
-    if (shards == 1) {
-      run(0);
-    } else {
-      Pool()->RunShards(shards, run);
-    }
-  }
-
-  void EnumerateShard(const std::vector<FactRef>& delta, size_t begin,
-                      size_t end, ShardOut* out) {
-    for (size_t i = begin; i < end; ++i) {
-      // Per-fact cancel checkpoint (strided clock inside the token). The
-      // token is shared across shards; a concurrent Cancel() or an expired
-      // deadline stops every worker within one fact's matching work.
+  /// Phase A: enumerate the round's candidate matches into cand_tgds_ /
+  /// cand_vals_. No writes to the database, indexes, or any other engine
+  /// state happen in this phase, so every probe reads the round-start
+  /// state.
+  void MatchRound(const std::vector<FactRef>& delta, size_t round_est) {
+    seen_.clear();
+    cand_tgds_.clear();
+    cand_vals_.clear();
+    match_aborted_ = false;
+    // Candidates ~ firings, so the round creation bound pre-sizes the dedup
+    // table; clamped the same way as relation reservations so a saturated
+    // estimate cannot bad_alloc.
+    if (round_est >= 64 && round_est <= UINT32_MAX) seen_.Reserve(round_est);
+    for (const FactRef& f : delta) {
+      // Per-fact cancel checkpoint (strided clock inside the token): a
+      // Cancel() from another thread or an expired deadline stops the
+      // match within one fact's matching work.
       if (options_.cancel != nullptr &&
-          (out->aborted || !options_.cancel->Check().ok())) {
-        out->aborted = true;
+          (match_aborted_ || !options_.cancel->Check().ok())) {
+        match_aborted_ = true;
         return;
       }
-      const FactRef& f = delta[i];
       if (f.rel >= plans_by_rel_.size()) continue;
       for (uint32_t plan_id : plans_by_rel_[f.rel]) {
         const MatchPlan& plan = plans_[plan_id];
         const TGD& tgd = onto_.tgds()[plan.tgd];
-        out->assign.assign(tgd.num_vars(), kUnbound);
+        assign_.assign(tgd.num_vars(), kUnbound);
         SmallVec<uint32_t, 8> bound;
         if (!UnifyAtom(tgd.body()[plan.delta_atom], result_->db.Row(f),
-                       &out->assign, &bound)) {
+                       &assign_, &bound)) {
           continue;
         }
-        MatchBacktrack(plan, 0, out);
+        MatchBacktrack(plan, 0);
       }
     }
   }
 
-  /// Read-only twin of the old in-place Backtrack: probes the (frozen)
-  /// indexes and emits complete body assignments as candidates instead of
-  /// firing them.
-  void MatchBacktrack(const MatchPlan& plan, size_t step, ShardOut* out) {
-    if (out->aborted) return;  // a cancel checkpoint fired mid-join
+  /// Extends the assignment through the plan's remaining body atoms by
+  /// probing the round-start indexes; emits every complete body assignment
+  /// as a candidate (phase B fires them).
+  void MatchBacktrack(const MatchPlan& plan, size_t step) {
+    if (match_aborted_) return;  // a cancel checkpoint fired mid-join
     if (step == plan.steps.size()) {
-      EmitCandidate(plan.tgd, out);
+      EmitCandidate(plan.tgd);
       return;
     }
     const PlanStep& ps = plan.steps[step];
@@ -569,399 +446,71 @@ class ChaseEngine {
     const DynIndex& index = indexes_[ps.index_id];
     ValueTuple key;
     for (uint32_t p : index.key_positions()) {
-      key.push_back(out->assign[VarOf(atom.terms[p])]);
+      key.push_back(assign_[VarOf(atom.terms[p])]);
     }
     for (uint32_t row = index.First(key.data()); row != UINT32_MAX;
          row = index.Next(row)) {
       SmallVec<uint32_t, 8> bound;
-      if (!UnifyAtom(atom, result_->db.Row(atom.rel, row), &out->assign,
-                     &bound)) {
+      if (!UnifyAtom(atom, result_->db.Row(atom.rel, row), &assign_, &bound)) {
         continue;
       }
-      MatchBacktrack(plan, step + 1, out);
-      for (uint32_t b : bound) out->assign[b] = kUnbound;
+      MatchBacktrack(plan, step + 1);
+      for (uint32_t b : bound) assign_[b] = kUnbound;
     }
   }
 
-  void EmitCandidate(uint32_t t, ShardOut* out) {
+  /// Buffers candidate (t, body values), dropping a repeat within the
+  /// round. The per-round `seen_` dedup only drops duplicates the global
+  /// applied_ table would skip anyway — including re-suppressed depth-capped
+  /// applications, which re-emit in LATER rounds because seen_ is cleared
+  /// per round — so it never changes the applied sequence, it only shrinks
+  /// the buffer.
+  void EmitCandidate(uint32_t t) {
     // A single delta fact can join-explode, so the per-fact checkpoint in
-    // EnumerateShard is not enough: check per candidate too (one compare
-    // when no token is set; the token strides its own clock reads).
+    // MatchRound is not enough: check per candidate too (one compare when
+    // no token is set; the token strides its own clock reads).
     if (options_.cancel != nullptr && !options_.cancel->Check().ok()) {
-      out->aborted = true;
+      match_aborted_ = true;
       return;
     }
     const TGD& tgd = onto_.tgds()[t];
-    ValueTuple& key = out->key;
+    ValueTuple& key = key_;
     key.clear();
     key.push_back(t);
     VarSet rest = tgd.BodyVars();
     while (rest) {
       uint32_t v = static_cast<uint32_t>(__builtin_ctzll(rest));
       rest &= rest - 1;
-      key.push_back(out->assign[v]);
+      key.push_back(assign_[v]);
     }
-    char& seen = out->seen.InsertOrGet(key.data(), key.size(), 0);
+    char& seen = seen_.InsertOrGet(key.data(), key.size(), 0);
     if (seen) return;
     seen = 1;
-    out->tgds.push_back(t);
-    out->vals.insert(out->vals.end(), key.begin() + 1, key.end());
+    cand_tgds_.push_back(t);
+    cand_vals_.insert(cand_vals_.end(), key.begin() + 1, key.end());
   }
 
-  /// Phase B dispatch. Restricted mode always applies sequentially — its
-  /// HeadSatisfied check probes the *evolving* instance, which no amount of
-  /// pre-round snapshotting can parallelize without changing its answers —
-  /// and a 1-shard round has nothing to fan out. Everything else takes the
-  /// three-step parallel pipeline. Both paths leave identical state (the
-  /// thread-sweep tests and the differential fuzzer's parallel oracle
-  /// compare full ChaseResults).
-  Status ApplyCandidates(uint32_t shards) {
-    if (shards <= 1 || options_.mode == ChaseMode::kRestricted) {
-      return ApplySequential(shards);
-    }
-    return ApplyParallel(shards);
-  }
-
-  /// The sequential form of phase B. Walks the shards in fixed order
-  /// (shard 0's candidates first — the contiguous delta partition makes
-  /// this the 1-shard discovery order), reconstructs each body assignment,
-  /// and fires it through the unchanged Apply path: global applied_ dedup,
-  /// restricted-mode head check, depth cap, block assignment, null
-  /// invention, fact + index insertion, next delta.
-  Status ApplySequential(uint32_t shards) {
-    for (uint32_t s = 0; s < shards; ++s) {
-      ShardOut& out = shard_out_[s];
-      uint32_t nulls_before = result_->db.NullHighWater();
-      size_t off = 0;
-      for (size_t i = 0; i < out.tgds.size(); ++i) {
-        // Checkpoint every application: apply-heavy rounds are the other
-        // place a deadline must land promptly, and the null-token cost is
-        // one compare.
-        OMQE_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-        uint32_t t = out.tgds[i];
-        const TGD& tgd = onto_.tgds()[t];
-        assign_.assign(tgd.num_vars(), kUnbound);
-        VarSet rest = tgd.BodyVars();
-        while (rest) {
-          uint32_t v = static_cast<uint32_t>(__builtin_ctzll(rest));
-          rest &= rest - 1;
-          assign_[v] = out.vals[off++];
-        }
-        OMQE_RETURN_IF_ERROR(Apply(t, assign_));
-      }
-      if (s < result_->stats.shard_inventions.size()) {
-        result_->stats.shard_inventions[s] +=
-            result_->db.NullHighWater() - nulls_before;
-      }
-    }
-    return Status::OK();
-  }
-
-  /// The parallel form of phase B (oblivious mode, >1 shards): resolve /
-  /// prefix-sum / materialize, then a sequential merge. Determinism, step
-  /// by step:
-  ///  - Ordinals: shard s's candidate i gets ordinal cand_base_[s] + i —
-  ///    its exact position in the sequential shard-order walk (offset by 1
-  ///    so ordinal space stays above kAppliedState).
-  ///  - Claim (1a): fetch-min arbitration leaves each key holding the
-  ///    SMALLEST claiming ordinal (or kAppliedState from an earlier round,
-  ///    which is below every ordinal). Min is commutative, so thread
-  ///    interleaving cannot change the outcome.
-  ///  - Winners (1b): a candidate wins its key iff the post-barrier value
-  ///    equals its own ordinal — the earliest sequential occurrence, i.e.
-  ///    precisely the duplicate the sequential walk fires. Depth caps and
-  ///    block lookups read only prior-round nulls (phase A matched the
-  ///    frozen state), so they are read-only here. The winner check doubles
-  ///    as the key's final marking (one exchange-if-equal probe): fired
-  ///    winners become kAppliedState, cap-suppressed ones go back to
-  ///    kNotAppliedState — the sequential "leave seen unset".
-  ///  - Ids (2): prefix sums over per-shard invention/block tallies hand
-  ///    shard s the exact null-id and block-id ranges the sequential walk
-  ///    would have consumed when reaching its candidates.
-  ///  - Materialize (3): per-shard fact buffers, fresh nulls assigned in
-  ///    ascending existential-variable order within each winner — the
-  ///    FreshNull order. Writes to null_depth_/null_block_/blocks_ land in
-  ///    disjoint pre-sized ranges.
-  ///  - Merge: appends shard 0's facts first, through the same AddFact as
-  ///    the sequential path — so head-fact dedup, index maintenance, block
-  ///    membership, the next delta, and even a mid-round fact-budget abort
-  ///    happen at identical points.
-  Status ApplyParallel(uint32_t shards) {
-    if (cand_base_.size() < shards) {
-      cand_base_.resize(shards);
-      null_base_.resize(shards);
-      block_base_.resize(shards);
-    }
-    uint64_t ord = 1;  // 0 is kAppliedState
-    for (uint32_t s = 0; s < shards; ++s) {
-      cand_base_[s] = ord;
-      ord += shard_out_[s].tgds.size();
-    }
-    // Step 1a: claim every candidate under its global ordinal.
-    Pool()->RunShards(shards, [this](uint32_t s) { ResolveClaimShard(s); });
-    OMQE_RETURN_IF_ERROR(RoundAbortStatus(shards));
-    // Step 1b: decide winners, apply the depth cap, tally inventions.
-    Pool()->RunShards(shards, [this](uint32_t s) { ResolveWinnersShard(s); });
-    OMQE_RETURN_IF_ERROR(RoundAbortStatus(shards));
-    // Step 2: prefix sums over the tallies; carve the shared id spaces.
-    uint64_t total_inventions = 0;
-    uint64_t total_blocks = 0;
-    for (uint32_t s = 0; s < shards; ++s) {
-      ShardOut& out = shard_out_[s];
-      if (out.capped) result_->truncated = true;
-      null_base_[s] = total_inventions;
-      block_base_[s] = total_blocks;
-      total_inventions += out.inventions;
-      total_blocks += out.new_blocks;
-      result_->stats.applied += out.winner_tgds.size();
-      result_->stats.nulls_invented += out.inventions;
-      result_->stats.shard_inventions[s] += out.inventions;
-    }
-    if (total_inventions >
-        UINT32_MAX - static_cast<uint64_t>(result_->db.NullHighWater())) {
-      // The sequential path would wrap the 32-bit null space here; nothing
-      // real gets close (the fact budget trips first by orders of
-      // magnitude), but fail loudly rather than corrupt ids.
-      return Status::ResourceExhausted("chase exhausted the null id space");
-    }
-    uint32_t null_first =
-        result_->db.AllocNullRange(static_cast<uint32_t>(total_inventions));
-    null_depth_.resize(null_first + total_inventions);
-    null_block_.resize(null_first + total_inventions);
-    size_t block_first = blocks_.size();
-    blocks_.resize(block_first + total_blocks);
-    // Step 3: materialize head facts into per-shard buffers.
-    Pool()->RunShards(shards, [this, null_first, block_first](uint32_t s) {
-      MaterializeShard(
-          s, null_first + static_cast<uint32_t>(null_base_[s]),
-          static_cast<uint32_t>(block_first + block_base_[s]));
-    });
-    OMQE_RETURN_IF_ERROR(RoundAbortStatus(shards));
-    // Merge: fixed shard order through the sequential append path.
-    for (uint32_t s = 0; s < shards; ++s) {
-      ShardOut& out = shard_out_[s];
-      size_t off = 0;
-      for (size_t f = 0; f < out.fact_rels.size(); ++f) {
-        OMQE_RETURN_IF_ERROR(CheckCancel(options_.cancel));
-        RelId rel = out.fact_rels[f];
-        uint32_t arity = result_->db.Arity(rel);
-        OMQE_RETURN_IF_ERROR(AddFact(rel, out.fact_vals.data() + off, arity, 0));
-        off += arity;
-      }
-    }
-    return Status::OK();
-  }
-
-  /// Rebuilds candidate i's dedup key (TGD id + body values at `off`) into
-  /// out->key; returns the candidate's body width.
-  uint32_t CandidateKey(ShardOut* out, size_t i, size_t off) const {
-    uint32_t t = out->tgds[i];
-    uint32_t n = static_cast<uint32_t>(
-        __builtin_popcountll(onto_.tgds()[t].BodyVars()));
-    ValueTuple& key = out->key;
-    key.clear();
-    key.push_back(t);
-    for (uint32_t k = 0; k < n; ++k) key.push_back(out->vals[off + k]);
-    return n;
-  }
-
-  /// Step 1a worker: stamp this shard's candidates with their global
-  /// sequential ordinals and claim them in the shared table by fetch-min.
-  /// Hosts the chase.apply fault point (one evaluation per candidate) and
-  /// the per-candidate cancel checkpoint.
-  void ResolveClaimShard(uint32_t s) {
-    ShardOut& out = shard_out_[s];
-    out.cand_hash.clear();
-    out.cand_hash.reserve(out.tgds.size());
-    uint64_t ord = cand_base_[s];
+  /// Phase B: fires the round's candidates in discovery order. Rebuilds
+  /// each body assignment (body values are stored in ascending variable-id
+  /// order, the dedup-key order) and fires it through Apply: global
+  /// applied_ dedup, restricted-mode head check, depth cap, block
+  /// assignment, null invention, fact + index insertion, next delta.
+  Status ApplyRound() {
     size_t off = 0;
-    for (size_t i = 0; i < out.tgds.size(); ++i, ++ord) {
-      if (options_.cancel != nullptr && !options_.cancel->Check().ok()) {
-        out.aborted = true;
-        return;
-      }
-      if (FaultFires(kFaultChaseApply)) {
-        out.fault = true;
-        return;
-      }
-      uint32_t n = CandidateKey(&out, i, off);
-      uint64_t h = ConcurrentTupleMap<uint64_t>::Hash(out.key.data(),
-                                                      out.key.size());
-      out.cand_hash.push_back(h);
-      applied_.FetchMinH(out.key.data(), out.key.size(), h, ord,
-                         kNotAppliedState);
-      off += n;
-    }
-  }
-
-  /// Step 1b worker: a candidate wins its key iff the settled table value
-  /// is its own ordinal. The winner check and the key's final marking are
-  /// one locked probe (ExchangeIfEqualH with the hash cached by step 1a):
-  /// the depth cap is decided first — it reads only the candidate's body
-  /// values and frozen prior-round null depths, never the table — so the
-  /// exchange installs kAppliedState for fired winners and puts
-  /// kNotAppliedState back for cap-suppressed ones (the sequential "leave
-  /// seen unset", letting a later-round rediscovery re-attempt it). Losers
-  /// fail the exchange and skip. The marking is safe this early: finalized
-  /// values (0 / UINT64_MAX) lie outside the ordinal range, so another
-  /// shard's pending winner check on the same key still fails exactly as
-  /// it would against the winning ordinal. Winners are recorded with
-  /// everything materialization needs; their invention and fresh-block
-  /// tallies feed the step-2 prefix sums.
-  void ResolveWinnersShard(uint32_t s) {
-    ShardOut& out = shard_out_[s];
-    out.winner_tgds.clear();
-    out.winner_offs.clear();
-    out.winner_depths.clear();
-    out.winner_blocks.clear();
-    out.inventions = 0;
-    out.new_blocks = 0;
-    out.capped = false;
-    uint64_t ord = cand_base_[s];
-    size_t off = 0;
-    for (size_t i = 0; i < out.tgds.size(); ++i, ++ord) {
-      if (options_.cancel != nullptr && !options_.cancel->Check().ok()) {
-        out.aborted = true;
-        return;
-      }
-      uint32_t n = CandidateKey(&out, i, off);
-      off += n;
-      const TGD& tgd = onto_.tgds()[out.tgds[i]];
-      uint32_t max_depth = 0;
-      for (uint32_t k = 1; k < out.key.size(); ++k) {
-        Value v = out.key[k];
-        if (IsNull(v)) {
-          max_depth = std::max(max_depth, null_depth_[NullIndex(v)]);
-        }
-      }
-      VarSet existentials = tgd.ExistentialVars();
-      bool capped = existentials && max_depth + 1 > options_.null_depth;
-      if (!applied_.ExchangeIfEqualH(out.key.data(), out.key.size(),
-                                     out.cand_hash[i], ord,
-                                     capped ? kNotAppliedState
-                                            : kAppliedState)) {
-        continue;  // lost the claim: an earlier occurrence fires instead
-      }
-      if (capped) {
-        out.capped = true;
-        continue;
-      }
-      uint8_t fresh_block = 0;
-      if (existentials) {
-        out.inventions +=
-            static_cast<uint64_t>(__builtin_popcountll(existentials));
-        // Fresh block iff no body null already carries one (PickBlock's
-        // rule; body nulls are all prior-round, so null_block_ is frozen).
-        fresh_block = 1;
-        for (uint32_t k = 1; k < out.key.size(); ++k) {
-          Value v = out.key[k];
-          if (IsNull(v) && null_block_[NullIndex(v)] != UINT32_MAX) {
-            fresh_block = 0;
-            break;
-          }
-        }
-        out.new_blocks += fresh_block;
-      }
-      out.winner_tgds.push_back(out.tgds[i]);
-      out.winner_offs.push_back(off - n);
-      out.winner_depths.push_back(max_depth + 1);
-      out.winner_blocks.push_back(fresh_block);
-    }
-  }
-
-  /// Step 3 worker: fire this shard's winners into its fact buffers using
-  /// the pre-assigned null and block id ranges. Mutates only disjoint
-  /// slices of the shared side arrays (pre-sized in step 2) plus the
-  /// shard's own buffers; never touches the applied table (step 1b's
-  /// exchange already finalized every key).
-  void MaterializeShard(uint32_t s, uint32_t next_null, uint32_t next_block) {
-    ShardOut& out = shard_out_[s];
-    out.fact_rels.clear();
-    out.fact_vals.clear();
-    for (size_t w = 0; w < out.winner_tgds.size(); ++w) {
-      if (options_.cancel != nullptr && !options_.cancel->Check().ok()) {
-        out.aborted = true;
-        return;
-      }
-      uint32_t t = out.winner_tgds[w];
+    for (uint32_t t : cand_tgds_) {
+      // Checkpoint every application: apply-heavy rounds are the other
+      // place a deadline must land promptly, and the null-token cost is one
+      // compare.
+      OMQE_RETURN_IF_ERROR(CheckCancel(options_.cancel));
       const TGD& tgd = onto_.tgds()[t];
-      std::vector<Value>& assign = out.assign;
-      assign.assign(tgd.num_vars(), kUnbound);
-      size_t k = out.winner_offs[w];
+      assign_.assign(tgd.num_vars(), kUnbound);
       VarSet rest = tgd.BodyVars();
       while (rest) {
         uint32_t v = static_cast<uint32_t>(__builtin_ctzll(rest));
         rest &= rest - 1;
-        assign[v] = out.vals[k++];
+        assign_[v] = cand_vals_[off++];
       }
-      VarSet existentials = tgd.ExistentialVars();
-      if (existentials) {
-        uint32_t block;
-        if (out.winner_blocks[w]) {
-          // Fresh block rooted at the instantiated guard fact (absent for
-          // unguarded TGDs), built in place in this shard's blocks_ slice.
-          ChaseBlock& nb = blocks_[next_block];
-          block = next_block++;
-          int guard = tgd.GuardAtom();
-          if (guard >= 0) {
-            nb.has_source = true;
-            nb.source_rel = tgd.body()[guard].rel;
-            nb.source_tuple.clear();
-            for (Term term : tgd.body()[guard].terms) {
-              nb.source_tuple.push_back(assign[VarOf(term)]);
-            }
-          }
-        } else {
-          // PickBlock's other arm: the block of the first body null (in
-          // ascending variable order) that carries one.
-          block = UINT32_MAX;
-          rest = tgd.BodyVars();
-          while (rest) {
-            uint32_t v = static_cast<uint32_t>(__builtin_ctzll(rest));
-            rest &= rest - 1;
-            if (IsNull(assign[v])) {
-              uint32_t b = null_block_[NullIndex(assign[v])];
-              if (b != UINT32_MAX) {
-                block = b;
-                break;
-              }
-            }
-          }
-        }
-        uint32_t depth = out.winner_depths[w];
-        VarSet ex = existentials;
-        while (ex) {
-          uint32_t v = static_cast<uint32_t>(__builtin_ctzll(ex));
-          ex &= ex - 1;
-          assign[v] = MakeNull(next_null);
-          null_depth_[next_null] = depth;
-          null_block_[next_null] = block;
-          ++next_null;
-        }
-      }
-      for (const Atom& h : tgd.head()) {
-        out.fact_rels.push_back(h.rel);
-        for (Term term : h.terms) {
-          out.fact_vals.push_back(assign[VarOf(term)]);
-        }
-      }
-    }
-  }
-
-  /// Collects the per-shard abort flags after a parallel apply step: an
-  /// injected chase.apply fault outranks a cancel (the flags are only ever
-  /// set together when both raced, and the fault is the scripted outcome).
-  Status RoundAbortStatus(uint32_t shards) {
-    bool aborted = false;
-    bool fault = false;
-    for (uint32_t s = 0; s < shards; ++s) {
-      aborted |= shard_out_[s].aborted;
-      fault |= shard_out_[s].fault;
-    }
-    if (fault) return Status::Internal("injected fault at chase.apply");
-    if (aborted) {
-      Status st = CheckCancelNow(options_.cancel);
-      return st.ok() ? Status::Cancelled("chase apply aborted") : st;
+      OMQE_RETURN_IF_ERROR(Apply(t, assign_));
     }
     return Status::OK();
   }
@@ -993,7 +542,7 @@ class ChaseEngine {
     // Dedup key: TGD id followed by the values of its body variables.
     // (Scratch member: Apply fires once per body match, the hottest path of
     // the delta loop, and the key regularly outgrows SmallVec inline space.)
-    ValueTuple& key = apply_key_;
+    ValueTuple& key = key_;
     key.clear();
     key.push_back(t);
     VarSet body_vars = tgd.BodyVars();
@@ -1007,28 +556,24 @@ class ChaseEngine {
         max_depth = std::max(max_depth, null_depth_[NullIndex(assign[v])]);
       }
     }
-    // The resolve step of this application (dedup + cap check). Same fault
-    // point as the parallel resolve shards, so the robustness sweep covers
-    // whichever path the thread count selects.
+    // The resolve step of this application (dedup + cap check).
     if (FaultFires(kFaultChaseApply)) {
       return Status::Internal("injected fault at chase.apply");
     }
-    uint64_t& seen =
-        applied_.InsertOrGet(key.data(), key.size(), kNotAppliedState);
-    if (seen == kAppliedState) return Status::OK();
+    uint8_t& applied = applied_.InsertOrGet(key.data(), key.size(), 0);
+    if (applied) return Status::OK();
 
     VarSet existentials = tgd.ExistentialVars();
     uint32_t block = UINT32_MAX;
     if (existentials) {
       if (options_.mode == ChaseMode::kRestricted && HeadSatisfied(t, assign, 0)) {
-        seen = kAppliedState;  // monotone: once satisfied, always satisfied
+        applied = 1;  // monotone: once satisfied, always satisfied
         return Status::OK();
       }
       if (max_depth + 1 > options_.null_depth) {
         result_->truncated = true;
-        // Leave the entry not-applied so a later run with a larger cap
-        // would fire; within this run it is cheap to re-suppress.
-        seen = kNotAppliedState;
+        // Leave the entry unset so a later run with a larger cap would
+        // fire; within this run it is cheap to re-suppress.
         return Status::OK();
       }
       block = PickBlock(tgd, assign, body_vars);
@@ -1045,14 +590,14 @@ class ChaseEngine {
       result_->stats.nulls_invented +=
           static_cast<uint64_t>(__builtin_popcountll(existentials));
     }
-    seen = kAppliedState;
+    applied = 1;
     ++result_->stats.applied;
 
     ValueTuple tuple;
     for (const Atom& h : tgd.head()) {
       tuple.clear();
       for (Term term : h.terms) tuple.push_back(assign[VarOf(term)]);
-      OMQE_RETURN_IF_ERROR(AddFact(h.rel, tuple.data(), tuple.size(), block));
+      OMQE_RETURN_IF_ERROR(AddFact(h.rel, tuple.data(), tuple.size()));
     }
     // Unbind the existentials for the caller's backtracking.
     VarSet ex = existentials;
@@ -1090,8 +635,7 @@ class ChaseEngine {
     return static_cast<uint32_t>(blocks_.size() - 1);
   }
 
-  Status AddFact(RelId rel, const Value* tuple, uint32_t arity,
-                 uint32_t /*block*/) {
+  Status AddFact(RelId rel, const Value* tuple, uint32_t arity) {
     if (!result_->db.AddFact(rel, tuple, arity)) return Status::OK();
     if (result_->db.TotalFacts() > options_.max_facts) {
       return Status::ResourceExhausted("chase exceeded the fact budget");
@@ -1129,31 +673,25 @@ class ChaseEngine {
   size_t prev_delta_ = 0;
   std::vector<DynIndex> indexes_;
   std::vector<std::vector<uint32_t>> rel_indexes_;
-  /// Shared application-dedup table. Sequential rounds use the quiescent
-  /// single-probe path (InsertOrGet); parallel rounds use the concurrent
-  /// claim primitives (FetchMin/Load/Store). The two modes never overlap —
-  /// RunShards barriers separate them.
-  ConcurrentTupleMap<uint64_t> applied_;
+  /// Application dedup: TGD id + body values -> 1 once the application
+  /// fired (or, in restricted mode, found its head satisfied). A
+  /// cap-suppressed application leaves its entry 0 and is re-suppressed if
+  /// rediscovered.
+  TupleMap<uint8_t> applied_;
   std::vector<uint32_t> null_depth_;
   std::vector<uint32_t> null_block_;
   std::vector<ChaseBlock> blocks_;
   std::vector<FactRef> delta_;
+  // One round's candidates (phase A output): candidate i is cand_tgds_[i]
+  // plus its body-variable values appended to cand_vals_ in ascending
+  // variable-id order. Reused across rounds (cleared, not freed).
+  TupleMap<char> seen_;  // per-round candidate dedup, keyed like applied_
+  std::vector<uint32_t> cand_tgds_;
+  std::vector<Value> cand_vals_;
+  bool match_aborted_ = false;  // a cancel checkpoint failed mid-match
   // Scratch buffers reused across the delta loop (no per-fact allocation).
   std::vector<Value> assign_;
-  ValueTuple apply_key_;
-
-  /// Below this delta size a round is matched on one shard: the fork/join
-  /// barrier costs more than matching a handful of facts, and tail rounds
-  /// of a converging chase are mostly this small.
-  static constexpr size_t kMinParallelDelta = 256;
-  std::vector<ShardOut> shard_out_;          // reused across rounds
-  // Parallel-apply prefix sums, valid within one round: shard s's first
-  // candidate ordinal, and its offsets into the round's null and block id
-  // ranges.
-  std::vector<uint64_t> cand_base_;
-  std::vector<uint64_t> null_base_;
-  std::vector<uint64_t> block_base_;
-  std::unique_ptr<ThreadPool> pool_;         // lazily spawned, num_threads-1
+  ValueTuple key_;
 };
 
 }  // namespace

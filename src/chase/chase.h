@@ -56,33 +56,13 @@ struct ChaseOptions {
   /// estimate is linear in the delta size, so the reservation stays within a
   /// constant factor of the facts actually created.
   bool adaptive_reserve = true;
-  /// Worker lanes for each delta round (<= 1: run the pipeline inline on
-  /// the calling thread). Every round runs two phases. Phase A (match):
-  /// workers enumerate body matches of the round's delta facts against the
-  /// frozen prior-round state (read-only probes, per-shard candidate
-  /// buffers and dedup tables). Phase B (apply) fans out too — a
-  /// three-step round: (1) parallel *resolve*, where shards stamp their
-  /// candidates with global sequential ordinals and claim them in the
-  /// shared ConcurrentTupleMap dedup table by fetch-min, so the surviving
-  /// claimant of a duplicated application is the one the sequential order
-  /// would have fired, then run the depth-cap check and count per-shard
-  /// null inventions and fresh blocks; (2) a prefix-sum over the per-shard
-  /// counts assigns each shard a deterministic null-id and block-id range
-  /// (identical to the sequential discovery order); (3) parallel
-  /// *materialize* of head facts into per-shard buffers using those
-  /// ranges, then a fixed-shard-order merge into the database and indexes.
-  /// Fact order, null numbering, blocks, and the truncation flag are
-  /// bit-identical for every thread count (the differential fuzzer's
-  /// parallel oracle enforces this). Restricted mode applies sequentially
-  /// (HeadSatisfied reads the evolving instance), keeping its semantics
-  /// exactly; phase A still shards.
-  uint32_t num_threads = 1;
   /// Optional cooperative cancellation / deadline. Checked at every
-  /// delta-round boundary, every candidate application, and (strided)
-  /// inside the phase-A shard workers, so a cancel or an expired deadline
-  /// aborts the chase with Status::Cancelled / DeadlineExceeded within a
-  /// bounded amount of work. Null (the default) costs one pointer compare
-  /// per checkpoint. The token is read-only here; the caller owns it.
+  /// delta-round boundary, every candidate application, and (strided) per
+  /// delta fact and per candidate of the match phase, so a cancel or an
+  /// expired deadline aborts the chase with Status::Cancelled /
+  /// DeadlineExceeded within a bounded amount of work. Null (the default)
+  /// costs one pointer compare per checkpoint. The token is read-only here;
+  /// the caller owns it.
   const CancelToken* cancel = nullptr;
 };
 
@@ -97,27 +77,20 @@ struct ChaseBlock {
 };
 
 /// Observability counters for one chase run (the artifact's final RunChase
-/// when the query-directed saturation runs several). Exported through the
-/// server's STATS line; the parallel-apply tests assert the invariants
-/// (per-shard counters sum to the totals, inventions equal the null high
-/// water growth, dedup-table rehashes stay within one per round).
+/// when the query-directed saturation runs several). The server exports
+/// them as omqe_chase_*_total metrics; chase_test asserts the invariants
+/// (inventions equal the null high water growth, dedup-table rehashes stay
+/// within one per round).
 struct ChaseStats {
   uint64_t rounds = 0;           ///< delta rounds run
-  uint64_t parallel_rounds = 0;  ///< of those, rounds sharded across >1 lane
   uint64_t candidates = 0;       ///< candidates emitted by phase A
   uint64_t applied = 0;          ///< applications actually fired
   uint64_t nulls_invented = 0;   ///< fresh nulls created by firings
   uint64_t match_nanos = 0;      ///< wall time in phase A (match)
   uint64_t apply_nanos = 0;      ///< wall time in phase B (apply)
-  /// Max per-stripe growth events of the shared application-dedup table
-  /// (ConcurrentTupleMap::Stats().rehashes) — the per-round reservation
-  /// keeps this within ~1 per growing round.
+  /// Growth events of the application-dedup table (TupleMap rehashes) —
+  /// the per-round reservation keeps this within ~1 per growing round.
   uint64_t applied_rehashes = 0;
-  /// Per shard lane (index = shard id): candidates emitted by phase A and
-  /// nulls invented by phase B resolve. Sized to the widest round's shard
-  /// count; lanes a round did not use contribute nothing.
-  std::vector<uint64_t> shard_candidates;
-  std::vector<uint64_t> shard_inventions;
 };
 
 struct ChaseResult {
@@ -133,7 +106,7 @@ struct ChaseResult {
   uint32_t cap_used = 0;
   /// Number of facts without nulls (the database part).
   size_t db_part_facts = 0;
-  /// Phase timings and parallel-apply counters (see ChaseStats).
+  /// Phase timings and counters (see ChaseStats).
   ChaseStats stats;
 };
 

@@ -249,12 +249,6 @@ size_t ScaleRoundGrowth(size_t growth, size_t delta_size, size_t prev_delta) {
   return scaled == SIZE_MAX ? scaled : scaled + 1;
 }
 
-size_t ShardCreationBound(size_t round_bound, uint32_t shards) {
-  if (shards <= 1) return round_bound;
-  size_t share = round_bound / shards;
-  return SatAdd(share, share / 2 + 16, SIZE_MAX);
-}
-
 std::vector<size_t> FirstRoundCreationBounds(const Database& input,
                                              const Ontology& onto) {
   constexpr size_t kCap = SIZE_MAX / 2;

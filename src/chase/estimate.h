@@ -89,12 +89,6 @@ std::vector<size_t> FirstRoundCreationBounds(const Database& input,
 /// their fact budget. Returns `growth` when prev_delta is 0.
 size_t ScaleRoundGrowth(size_t growth, size_t delta_size, size_t prev_delta);
 
-/// Per-shard slice of a round-level creation (or candidate-match) bound for
-/// `shards` parallel workers over a contiguous delta partition: an even
-/// share plus 50% skew slack, saturating. Used to pre-size per-shard
-/// candidate buffers and dedup tables so an average round rehashes nothing.
-size_t ShardCreationBound(size_t round_bound, uint32_t shards);
-
 }  // namespace omqe
 
 #endif  // OMQE_CHASE_ESTIMATE_H_

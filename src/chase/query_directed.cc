@@ -27,7 +27,6 @@ StatusOr<std::shared_ptr<ChaseResult>> QueryDirectedChase(
     const QdcOptions& options) {
   ChaseOptions chase_options;
   chase_options.max_facts = options.max_facts;
-  chase_options.num_threads = options.num_threads;
   chase_options.cancel = options.cancel;
   uint32_t depth = options.min_depth_override != 0
                        ? options.min_depth_override

@@ -27,11 +27,6 @@ struct QdcOptions {
   /// gadgets) when a small excursion depth is known to suffice.
   uint32_t min_depth_override = 0;
   size_t max_facts = 200u * 1000 * 1000;
-  /// Worker lanes for each underlying chase run's match phase (see
-  /// ChaseOptions::num_threads; <= 1 runs inline). The result is
-  /// bit-identical across thread counts, so this is purely a latency knob
-  /// for PREPARE-time saturation.
-  uint32_t num_threads = 1;
   /// Optional cooperative cancellation / deadline, forwarded into every
   /// underlying chase run and checked between adaptive-saturation
   /// iterations. Null (the default) disables all checks. Caller-owned.

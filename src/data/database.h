@@ -85,16 +85,6 @@ class Database {
     OMQE_CHECK(!frozen_);
     return MakeNull(null_high_water_++);
   }
-  /// Reserves `count` consecutive fresh null ids and returns the first
-  /// INDEX (not Value). The chase's parallel apply carves this range into
-  /// per-shard sub-ranges so shards invent nulls without touching shared
-  /// state; ids come out identical to `count` sequential FreshNull calls.
-  uint32_t AllocNullRange(uint32_t count) {
-    OMQE_CHECK(!frozen_);
-    uint32_t first = null_high_water_;
-    null_high_water_ += count;
-    return first;
-  }
   bool HasNulls() const { return null_high_water_ > 0; }
 
   /// Pretty-prints up to `limit` facts (for examples and debugging).

@@ -5,6 +5,7 @@
 #include "base/fault.h"
 #include "base/str.h"
 #include "base/trace.h"
+#include "chase/chase.h"
 #include "core/omq.h"
 
 namespace omqe::server {
@@ -14,9 +15,6 @@ QueryRegistry::QueryRegistry(const Ontology* onto, const Database* db,
     : onto_(onto), db_(db), options_(std::move(options)),
       snapshot_(new Snapshot) {
   OMQE_CHECK(onto_ != nullptr && db_ != nullptr);
-  if (options_.prepare_threads > 0) {
-    options_.prepare.chase.num_threads = options_.prepare_threads;
-  }
   if (options_.metrics == nullptr) {
     owned_metrics_ = std::make_unique<metrics::Registry>();
     options_.metrics = owned_metrics_.get();
@@ -33,8 +31,6 @@ QueryRegistry::QueryRegistry(const Ontology* onto, const Database* db,
       metrics_->GetCounter("omqe_prepare_deadline_exceeded_total");
   m_.cancelled = metrics_->GetCounter("omqe_prepare_cancelled_total");
   m_.chase_rounds = metrics_->GetCounter("omqe_chase_rounds_total");
-  m_.chase_parallel_rounds =
-      metrics_->GetCounter("omqe_chase_parallel_rounds_total");
   m_.chase_candidates = metrics_->GetCounter("omqe_chase_candidates_total");
   m_.chase_applied = metrics_->GetCounter("omqe_chase_applied_total");
   m_.chase_nulls_invented =
@@ -158,26 +154,16 @@ StatusOr<std::shared_ptr<const PreparedOMQ>> QueryRegistry::PrepareLocked(
     }
     m_.prepares->Inc();
     // Fold the artifact's chase counters (its final saturation run) into
-    // the registry-lifetime aggregate that both the STATS line and METRICS
-    // report (scalars in the metric counters, shard-lane arrays here).
+    // the registry-lifetime omqe_chase_*_total metrics.
     const ChaseStats& cs = prepared.value()->chase().stats;
     prepare_span.set_arg(prepared.value()->chase().db.TotalFacts());
     m_.chase_rounds->Inc(cs.rounds);
-    m_.chase_parallel_rounds->Inc(cs.parallel_rounds);
     m_.chase_candidates->Inc(cs.candidates);
     m_.chase_applied->Inc(cs.applied);
     m_.chase_nulls_invented->Inc(cs.nulls_invented);
     m_.chase_match_nanos->Inc(cs.match_nanos);
     m_.chase_apply_nanos->Inc(cs.apply_nanos);
     m_.chase_applied_rehashes->Inc(cs.applied_rehashes);
-    if (chase_stats_.shard_candidates.size() < cs.shard_candidates.size()) {
-      chase_stats_.shard_candidates.resize(cs.shard_candidates.size(), 0);
-      chase_stats_.shard_inventions.resize(cs.shard_inventions.size(), 0);
-    }
-    for (size_t s = 0; s < cs.shard_candidates.size(); ++s) {
-      chase_stats_.shard_candidates[s] += cs.shard_candidates[s];
-      chase_stats_.shard_inventions[s] += cs.shard_inventions[s];
-    }
     // Copy-on-write publish: readers mid-walk keep the old snapshot alive
     // through their epoch pin; it is retired, not freed.
     Snapshot* next =
@@ -262,23 +248,6 @@ RegistryStats QueryRegistry::stats() const {
   out.misses = m_.misses->Value();
   out.deadline_exceeded = m_.deadline_exceeded->Value();
   out.cancelled = m_.cancelled->Value();
-  return out;
-}
-
-ChaseStats QueryRegistry::chase_stats() const {
-  ChaseStats out;
-  {
-    std::lock_guard<CountedMutex> lock(mu_);
-    out = chase_stats_;  // shard-lane arrays
-  }
-  out.rounds = m_.chase_rounds->Value();
-  out.parallel_rounds = m_.chase_parallel_rounds->Value();
-  out.candidates = m_.chase_candidates->Value();
-  out.applied = m_.chase_applied->Value();
-  out.nulls_invented = m_.chase_nulls_invented->Value();
-  out.match_nanos = m_.chase_match_nanos->Value();
-  out.apply_nanos = m_.chase_apply_nanos->Value();
-  out.applied_rehashes = m_.chase_applied_rehashes->Value();
   return out;
 }
 

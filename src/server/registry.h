@@ -41,7 +41,6 @@
 #include "base/counted_mutex.h"
 #include "base/epoch.h"
 #include "base/metrics.h"
-#include "chase/chase.h"
 #include "chase/estimate.h"
 #include "core/prepared.h"
 
@@ -52,12 +51,6 @@ struct RegistryOptions {
   /// Admission control: reject a PREPARE when the chase-size estimator's
   /// bound does not converge under this many facts. 0 disables the pre-pass.
   size_t max_estimated_chase_facts = 1u << 22;
-  /// When > 0, overrides prepare.chase.num_threads: worker lanes for the
-  /// chase's sharded match phase during PREPARE. Purely a latency knob —
-  /// the chase result is bit-identical across thread counts, and the
-  /// admission estimate (which predates the chase and depends only on
-  /// counts) is unaffected.
-  uint32_t prepare_threads = 0;
   /// Per-PREPARE deadline in milliseconds (0 = none). The preprocessing
   /// phase runs under a CancelToken with this deadline; on expiry the chase
   /// aborts cooperatively, Prepare returns DeadlineExceeded, and the name is
@@ -106,10 +99,6 @@ class QueryRegistry {
   size_t size() const;                ///< lock-free
   std::vector<std::string> Names() const;  ///< lock-free
   RegistryStats stats() const;
-  /// Chase observability, aggregated over every successful Prepare (the
-  /// final saturation run of each): phase timings, candidate/apply totals,
-  /// and per-shard-lane counters. The server's STATS line exports this.
-  ChaseStats chase_stats() const;
 
   /// Requests cooperative cancellation of the Prepare currently running (if
   /// any): its CancelToken is flagged and it returns Cancelled at the next
@@ -176,7 +165,6 @@ class QueryRegistry {
     metrics::Counter* deadline_exceeded;
     metrics::Counter* cancelled;
     metrics::Counter* chase_rounds;
-    metrics::Counter* chase_parallel_rounds;
     metrics::Counter* chase_candidates;
     metrics::Counter* chase_applied;
     metrics::Counter* chase_nulls_invented;
@@ -186,8 +174,6 @@ class QueryRegistry {
     metrics::Gauge* size;  ///< callback view over the live snapshot
   };
   Counters m_;
-  /// Shard-lane arrays only (the scalars live in m_); guarded by mu_.
-  ChaseStats chase_stats_;
   /// Token of the Prepare currently holding prepare_mu_ (guarded by mu_, so
   /// CancelInFlight never races the token's stack lifetime: the pointer is
   /// published under mu_ before the chase starts and cleared under mu_

@@ -276,40 +276,6 @@ void OmqeServer::DoStats(std::string* out) {
   rfield("faults_fired", FaultInjector::Instance().fired());
   rob += "}]}";
   *out += StatLine(rob) + "\n";
-  // Chase observability (aggregated over successful prepares) as a fourth
-  // STAT line: phase timings, candidate/apply totals, and the per-shard
-  // lane counters of the parallel apply — server_test asserts the shape.
-  ChaseStats cs = registry_.chase_stats();
-  std::string chase = "{\"bench\": \"server_chase\", \"smoke\": false, "
-                      "\"rows\": [{\"series\": \"chase\"";
-  auto cfield = [&chase](const char* key, uint64_t v) {
-    chase += ", \"";
-    chase += key;
-    chase += "\": ";
-    chase += std::to_string(v);
-  };
-  cfield("rounds", cs.rounds);
-  cfield("parallel_rounds", cs.parallel_rounds);
-  cfield("candidates", cs.candidates);
-  cfield("applied", cs.applied);
-  cfield("nulls_invented", cs.nulls_invented);
-  cfield("match_nanos", cs.match_nanos);
-  cfield("apply_nanos", cs.apply_nanos);
-  cfield("applied_rehashes", cs.applied_rehashes);
-  auto carray = [&chase](const char* key, const std::vector<uint64_t>& v) {
-    chase += ", \"";
-    chase += key;
-    chase += "\": [";
-    for (size_t i = 0; i < v.size(); ++i) {
-      if (i) chase += ", ";
-      chase += std::to_string(v[i]);
-    }
-    chase += "]";
-  };
-  carray("shard_candidates", cs.shard_candidates);
-  carray("shard_inventions", cs.shard_inventions);
-  chase += "}]}";
-  *out += StatLine(chase) + "\n";
   *out += OkLine("STATS") + "\n";
 }
 

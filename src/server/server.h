@@ -41,10 +41,8 @@
 
 namespace omqe::server {
 
-/// The worker pool moved to base/thread_pool.h so the chase engine's
-/// round-scoped sharding and the serving transports share one
-/// implementation; the alias keeps existing server call sites spelled the
-/// same.
+/// The worker pool lives in base/thread_pool.h; the alias keeps existing
+/// server call sites spelled the same.
 using ThreadPool = ::omqe::ThreadPool;
 
 /// Stderr logging verbosity for connection-lifecycle events (accept, shed,

@@ -91,72 +91,6 @@ std::vector<ValueTuple> Drain(Cursor& cursor) {
   return out;
 }
 
-/// Bit-identity of two ChaseResults: not just the same fact SET, but the
-/// same fact order within every relation, the same null numbering and
-/// depth/block attribution, the same block list with the same member order,
-/// and the same truncation verdict. This is the contract the parallel
-/// match phase promises (chase.h num_threads), and the strictest oracle we
-/// have: any scheduling leak — a shard boundary reordering candidates, a
-/// dedup difference, a skew in null invention — shows up as the first
-/// differing coordinate.
-bool ChaseResultsIdentical(const ChaseResult& a, const ChaseResult& b,
-                           std::string* detail) {
-  auto fail = [detail](std::string msg) {
-    *detail = std::move(msg);
-    return false;
-  };
-  if (a.truncated != b.truncated) return fail("truncated flag differs");
-  if (a.cap_used != b.cap_used) return fail("cap_used differs");
-  if (a.db_part_facts != b.db_part_facts) return fail("db_part_facts differs");
-  if (a.db.NullHighWater() != b.db.NullHighWater()) {
-    return fail(StrPrintf("null high water differs: %u vs %u",
-                          a.db.NullHighWater(), b.db.NullHighWater()));
-  }
-  if (a.db.NumRelationSlots() != b.db.NumRelationSlots()) {
-    return fail("relation slot counts differ");
-  }
-  for (RelId r = 0; r < a.db.NumRelationSlots(); ++r) {
-    if (a.db.NumRows(r) != b.db.NumRows(r)) {
-      return fail(StrPrintf("relation %u: %u vs %u rows", r, a.db.NumRows(r),
-                            b.db.NumRows(r)));
-    }
-    uint32_t arity = a.db.Arity(r);
-    for (uint32_t row = 0; row < a.db.NumRows(r); ++row) {
-      const Value* ta = a.db.Row(r, row);
-      const Value* tb = b.db.Row(r, row);
-      for (uint32_t i = 0; i < arity; ++i) {
-        if (ta[i] != tb[i]) {
-          return fail(StrPrintf("relation %u row %u differs at position %u",
-                                r, row, i));
-        }
-      }
-    }
-  }
-  if (a.null_block != b.null_block) return fail("null->block map differs");
-  if (a.blocks.size() != b.blocks.size()) {
-    return fail(StrPrintf("block counts differ: %zu vs %zu", a.blocks.size(),
-                          b.blocks.size()));
-  }
-  for (size_t i = 0; i < a.blocks.size(); ++i) {
-    const ChaseBlock& ba = a.blocks[i];
-    const ChaseBlock& bb = b.blocks[i];
-    if (ba.has_source != bb.has_source || ba.source_rel != bb.source_rel ||
-        ba.source_tuple != bb.source_tuple) {
-      return fail(StrPrintf("block %zu source differs", i));
-    }
-    if (ba.facts.size() != bb.facts.size()) {
-      return fail(StrPrintf("block %zu member counts differ", i));
-    }
-    for (size_t j = 0; j < ba.facts.size(); ++j) {
-      if (ba.facts[j].rel != bb.facts[j].rel ||
-          ba.facts[j].row != bb.facts[j].row) {
-        return fail(StrPrintf("block %zu member %zu differs", i, j));
-      }
-    }
-  }
-  return true;
-}
-
 }  // namespace
 
 DiffReport RunDifferential(const GeneratedCase& c, const DiffOptions& options) {
@@ -169,13 +103,8 @@ DiffReport RunDifferential(const GeneratedCase& c, const DiffOptions& options) {
   }
 
   // One prepare backs every cursor below — the production sharing path.
-  // With parallel_threads > 1 that prepare runs the chase's sharded match
-  // phase, so every later check also exercises the threaded path.
   PrepareOptions prepare;
   prepare.chase = options.chase;
-  if (options.parallel_threads > 1) {
-    prepare.chase.num_threads = options.parallel_threads;
-  }
   if (options.estimator_budget) {
     // Raise the chase budget only when the estimator proves it safe: a
     // converged bound under the ceiling cannot blow past it, while a
@@ -202,32 +131,6 @@ DiffReport RunDifferential(const GeneratedCase& c, const DiffOptions& options) {
   }
   std::shared_ptr<const PreparedOMQ> prepared = std::move(prepared_or).value();
   const Database& chased = prepared->chase().db;
-
-  // 0. Parallel-vs-sequential chase bit-identity (the num_threads contract):
-  // re-run the exact chase the prepare just did, single-threaded, and demand
-  // an identical artifact down to fact order and null ids.
-  if (options.parallel_threads > 1) {
-    ck.report.parallel_checked = true;
-    QdcOptions seq = prepare.chase;
-    seq.num_threads = 1;
-    auto seq_or = QueryDirectedChase(*c.db, omq.ontology, omq.query, seq);
-    if (!seq_or.ok()) {
-      ck.Fail("parallel_chase",
-              "sequential re-chase failed where the parallel chase "
-              "succeeded: " +
-                  seq_or.status().ToString());
-      return ck.report;
-    }
-    std::string detail;
-    if (!ChaseResultsIdentical(prepared->chase(), **seq_or, &detail)) {
-      ck.Fail("parallel_chase",
-              StrPrintf("parallel (%u threads) and sequential chase "
-                        "results differ: ",
-                        options.parallel_threads) +
-                  detail);
-      return ck.report;
-    }
-  }
 
   // Oracle answer sets on the same chase.
   std::vector<ValueTuple> want_complete =

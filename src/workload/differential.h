@@ -43,14 +43,6 @@ struct DiffOptions {
   /// 200M facts from 7 inputs) still abort at the small default budget.
   bool estimator_budget = true;
   size_t estimator_ceiling = 1u << 21;
-  /// When > 1, the prepare phase runs the chase's sharded match phase with
-  /// this many worker lanes AND the chase is re-run sequentially
-  /// (num_threads = 1) on the same input; the two ChaseResults must be
-  /// bit-identical — same fact order per relation, null numbering, block
-  /// structure, truncation flag — or the case fails with check
-  /// "parallel_chase". The six cross-checks then run on the PARALLEL
-  /// artifact, so every oracle also exercises the threaded path.
-  uint32_t parallel_threads = 1;
 };
 
 /// Outcome of one differential run. `failure` names the first failing check
@@ -68,9 +60,6 @@ struct DiffReport {
   bool chase_skipped = false;
   /// The estimator pre-pass proved a larger budget safe and raised it.
   bool budget_raised = false;
-  /// The parallel-vs-sequential chase bit-identity oracle ran (and passed,
-  /// unless `check` says "parallel_chase").
-  bool parallel_checked = false;
 };
 
 /// Cross-checks one materialized case against the oracle.

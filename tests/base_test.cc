@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "base/concurrent_tuple_map.h"
 #include "base/counted_mutex.h"
 #include "base/epoch.h"
 #include "base/spinlock.h"
@@ -17,7 +16,6 @@
 #include "base/small_vec.h"
 #include "base/status.h"
 #include "base/str.h"
-#include "base/thread_pool.h"
 #include "horn/horn.h"
 #include "test_util.h"
 
@@ -358,131 +356,6 @@ TEST(FlatHashTest, PutWritesValueExactlyOnce) {
   m.Put(7, AssignCounted(2));
   EXPECT_EQ(AssignCounted::assignments, 2);
   EXPECT_EQ(m.Find(7)->value, 2);
-}
-
-// ---------------------------------------------------------------------------
-// ConcurrentTupleMap (the chase's shared application-dedup table)
-// ---------------------------------------------------------------------------
-
-TEST(ConcurrentTupleMapTest, QuiescentInsertFindClear) {
-  ConcurrentTupleMap<uint64_t> m;
-  const uint32_t n = 5000;
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key[3] = {i, i ^ 0x9e3779b9u, i * 7u};
-    uint64_t& v = m.InsertOrGet(key, 3, i);
-    EXPECT_EQ(v, i);
-    // Second probe of the same key returns the stored value, not the init.
-    EXPECT_EQ(m.InsertOrGet(key, 3, 0xdeadu), i);
-  }
-  EXPECT_EQ(m.size(), n);
-  uint32_t probe[3] = {17, 17 ^ 0x9e3779b9u, 17 * 7u};
-  ASSERT_NE(m.Find(probe, 3), nullptr);
-  EXPECT_EQ(*m.Find(probe, 3), 17u);
-  uint32_t absent[3] = {n + 1, 0, 0};
-  EXPECT_EQ(m.Find(absent, 3), nullptr);
-  m.clear();
-  EXPECT_EQ(m.size(), 0u);
-  EXPECT_EQ(m.Find(probe, 3), nullptr);
-}
-
-TEST(ConcurrentTupleMapTest, FetchMinKeepsMinimumAndReturnsPrevious) {
-  ConcurrentTupleMap<uint64_t> m;
-  uint32_t key[2] = {1, 2};
-  const uint64_t kInit = UINT64_MAX;
-  EXPECT_EQ(m.FetchMin(key, 2, 40, kInit), kInit);  // first touch inserts
-  EXPECT_EQ(m.Load(key, 2, kInit), 40u);
-  EXPECT_EQ(m.FetchMin(key, 2, 50, kInit), 40u);  // higher claim loses
-  EXPECT_EQ(m.Load(key, 2, kInit), 40u);
-  EXPECT_EQ(m.FetchMin(key, 2, 30, kInit), 40u);  // lower claim wins
-  EXPECT_EQ(m.Load(key, 2, kInit), 30u);
-  // Store overwrites unconditionally; Load of an absent key is the default.
-  m.Store(key, 2, 0);
-  EXPECT_EQ(m.Load(key, 2, kInit), 0u);
-  uint32_t absent[2] = {9, 9};
-  EXPECT_EQ(m.Load(absent, 2, kInit), kInit);
-}
-
-TEST(ConcurrentTupleMapTest, ConcurrentFetchMinSettlesOnGlobalMinimum) {
-  // The deterministic-claim property under real contention: T threads claim
-  // the same K keys with distinct ordinals in shuffled orders; whatever the
-  // interleaving, every key must settle on the global minimum claim.
-  ConcurrentTupleMap<uint64_t> m;
-  const uint32_t kKeys = 512;
-  const uint32_t kThreads = 4;
-  ThreadPool pool(kThreads - 1);
-  pool.RunShards(kThreads, [&m, kKeys](uint32_t t) {
-    Rng rng(1000 + t);
-    std::vector<uint32_t> order(kKeys);
-    for (uint32_t i = 0; i < kKeys; ++i) order[i] = i;
-    for (uint32_t i = kKeys; i > 1; --i) {
-      std::swap(order[i - 1], order[rng.Below(i)]);
-    }
-    for (uint32_t k : order) {
-      uint32_t key[2] = {k, k ^ 0xabcdu};
-      // Thread t claims key k with ordinal k * kThreads + t + 1.
-      m.FetchMin(key, 2, static_cast<uint64_t>(k) * kThreads + t + 1,
-                 UINT64_MAX);
-    }
-  });
-  for (uint32_t k = 0; k < kKeys; ++k) {
-    uint32_t key[2] = {k, k ^ 0xabcdu};
-    ASSERT_EQ(m.Load(key, 2, UINT64_MAX),
-              static_cast<uint64_t>(k) * kThreads + 1)
-        << "key " << k;
-  }
-  EXPECT_EQ(m.size(), kKeys);
-}
-
-TEST(ConcurrentTupleMapTest, ReservedBulkLoadNeverRehashes) {
-  ConcurrentTupleMap<uint32_t> m;
-  const uint32_t n = 50000;
-  m.Reserve(n, static_cast<size_t>(n) * 3);
-  size_t reserved_capacity = m.Stats().capacity;
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key[3] = {i, i ^ 0x85ebca6bu, i * 11u};
-    m.InsertOrGet(key, 3, i);
-  }
-  HashStats stats = m.Stats();
-  EXPECT_EQ(stats.size, n);
-  EXPECT_EQ(stats.capacity, reserved_capacity);
-  // rehashes is the MAX over stripes: zero means no stripe re-probed.
-  EXPECT_EQ(stats.rehashes, 0u);
-  EXPECT_LT(stats.LoadFactor(), 0.80);
-}
-
-TEST(ConcurrentTupleMapTest, StripeGrowthIsLocalAndCounted) {
-  // Unreserved load: stripes double independently. The max-over-stripes
-  // rehash count stays logarithmic in the PER-STRIPE load, and entries
-  // survive growth.
-  ConcurrentTupleMap<uint64_t> m;
-  const uint32_t n = 20000;
-  for (uint32_t i = 0; i < n; ++i) {
-    uint32_t key[2] = {i, i * 2654435761u};
-    m.Store(key, 2, i);
-  }
-  EXPECT_EQ(m.size(), n);
-  HashStats stats = m.Stats();
-  EXPECT_GE(stats.rehashes, 1u);
-  EXPECT_LE(stats.rehashes, 12u);
-  for (uint32_t i = 0; i < n; i += 97) {
-    uint32_t key[2] = {i, i * 2654435761u};
-    EXPECT_EQ(m.Load(key, 2, UINT64_MAX), i);
-  }
-}
-
-TEST(ConcurrentTupleMapTest, SingleStripeDegeneratesGracefully) {
-  // stripes = 1 exercises the shift edge case (all top bits select the one
-  // stripe) — the map must still behave like a plain table.
-  ConcurrentTupleMap<uint32_t> m(1);
-  EXPECT_EQ(m.num_stripes(), 1u);
-  for (uint32_t i = 0; i < 1000; ++i) {
-    uint32_t key[1] = {i};
-    m.InsertOrGet(key, 1, i);
-  }
-  EXPECT_EQ(m.size(), 1000u);
-  uint32_t probe[1] = {123};
-  ASSERT_NE(m.Find(probe, 1), nullptr);
-  EXPECT_EQ(*m.Find(probe, 1), 123u);
 }
 
 TEST(InternerTest, ReservedBulkInternNeverRehashes) {

@@ -523,58 +523,14 @@ TEST(ChaseEstimateTest, ScaleRoundGrowthSaturatesInsteadOfWrapping) {
   EXPECT_GE(ScaleRoundGrowth(SIZE_MAX, SIZE_MAX, 3), SIZE_MAX / 3);
 }
 
-TEST(ChaseEstimateTest, ShardCreationBoundSlicesWithSlack) {
-  // One shard: the round bound passes through untouched.
-  EXPECT_EQ(ShardCreationBound(1000, 1), 1000u);
-  EXPECT_EQ(ShardCreationBound(1000, 0), 1000u);
-  // Multi-shard: an even share plus 50% skew slack plus a small floor.
-  EXPECT_EQ(ShardCreationBound(1000, 4), 250u + 125u + 16u);
-  EXPECT_EQ(ShardCreationBound(0, 8), 16u);
-  // Saturated round bounds stay saturated instead of wrapping.
-  EXPECT_EQ(ShardCreationBound(SIZE_MAX, 2), SIZE_MAX / 2 + SIZE_MAX / 4 + 16);
-}
-
 // ---------------------------------------------------------------------------
-// Parallel match phase: bit-identity with the sequential path.
+// Delta rounds: fact budget, stats invariants, dedup-table growth.
 // ---------------------------------------------------------------------------
 
 namespace {
 
-/// Full structural equality of two chase results: fact order per relation,
-/// null numbering, block structure, truncation — the num_threads contract.
-void ExpectChaseIdentical(const ChaseResult& a, const ChaseResult& b) {
-  EXPECT_EQ(a.truncated, b.truncated);
-  EXPECT_EQ(a.cap_used, b.cap_used);
-  EXPECT_EQ(a.db_part_facts, b.db_part_facts);
-  ASSERT_EQ(a.db.NullHighWater(), b.db.NullHighWater());
-  ASSERT_EQ(a.db.NumRelationSlots(), b.db.NumRelationSlots());
-  for (RelId r = 0; r < a.db.NumRelationSlots(); ++r) {
-    ASSERT_EQ(a.db.NumRows(r), b.db.NumRows(r)) << "relation " << r;
-    for (uint32_t row = 0; row < a.db.NumRows(r); ++row) {
-      const Value* ta = a.db.Row(r, row);
-      const Value* tb = b.db.Row(r, row);
-      for (uint32_t i = 0; i < a.db.Arity(r); ++i) {
-        ASSERT_EQ(ta[i], tb[i]) << "relation " << r << " row " << row
-                                << " position " << i;
-      }
-    }
-  }
-  ASSERT_EQ(a.null_block, b.null_block);
-  ASSERT_EQ(a.blocks.size(), b.blocks.size());
-  for (size_t i = 0; i < a.blocks.size(); ++i) {
-    EXPECT_EQ(a.blocks[i].has_source, b.blocks[i].has_source);
-    EXPECT_EQ(a.blocks[i].source_rel, b.blocks[i].source_rel);
-    EXPECT_EQ(a.blocks[i].source_tuple, b.blocks[i].source_tuple);
-    ASSERT_EQ(a.blocks[i].facts.size(), b.blocks[i].facts.size());
-    for (size_t j = 0; j < a.blocks[i].facts.size(); ++j) {
-      EXPECT_EQ(a.blocks[i].facts[j].rel, b.blocks[i].facts[j].rel);
-      EXPECT_EQ(a.blocks[i].facts[j].row, b.blocks[i].facts[j].row);
-    }
-  }
-}
-
-/// A world big enough that the seed round (and at least one derived round)
-/// crosses the engine's minimum parallel delta, so >1 shards actually run.
+/// 600 researchers, half with an office: a 900-fact seed whose first
+/// derived round creates hundreds of facts.
 struct WideWorld : World {
   Ontology onto;
   WideWorld() {
@@ -596,96 +552,10 @@ struct WideWorld : World {
   }
 };
 
-}  // namespace
-
-TEST(ChaseTest, ParallelChaseBitIdenticalToSequential) {
-  WideWorld w;
-  ChaseOptions seq;
-  seq.num_threads = 1;
-  auto a = RunChase(w.db, w.onto, seq);
-  ASSERT_TRUE(a.ok());
-  for (uint32_t threads : {2u, 4u, 8u}) {
-    ChaseOptions par;
-    par.num_threads = threads;
-    auto b = RunChase(w.db, w.onto, par);
-    ASSERT_TRUE(b.ok());
-    ExpectChaseIdentical(**a, **b);
-  }
-}
-
-TEST(ChaseTest, ParallelChaseBitIdenticalUnderTruncation) {
-  // Truncation: the suppressed-application bookkeeping (seen left unset so
-  // deeper caps can re-fire) must survive sharding unchanged.
-  World w;
-  Ontology onto = w.Onto("Succ(x, y) -> exists z. Succ(y, z)");
-  std::string facts;
-  for (int i = 0; i < 400; ++i) {
-    facts += "Succ(a" + std::to_string(i) + ", b" + std::to_string(i) + ") ";
-  }
-  w.Load(facts);
-  ChaseOptions seq;
-  seq.null_depth = 3;
-  ChaseOptions par = seq;
-  par.num_threads = 4;
-  auto a = RunChase(w.db, onto, seq);
-  auto b = RunChase(w.db, onto, par);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  EXPECT_TRUE((*a)->truncated);
-  ExpectChaseIdentical(**a, **b);
-}
-
-TEST(ChaseTest, ParallelChaseBitIdenticalInRestrictedMode) {
-  // Restricted mode's HeadSatisfied probes the live instance during the
-  // sequential apply phase; sharding the match phase must not change which
-  // applications it suppresses.
-  WideWorld w;
-  ChaseOptions seq;
-  seq.mode = ChaseMode::kRestricted;
-  ChaseOptions par = seq;
-  par.num_threads = 4;
-  auto a = RunChase(w.db, w.onto, seq);
-  auto b = RunChase(w.db, w.onto, par);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectChaseIdentical(**a, **b);
-}
-
-TEST(ChaseTest, ParallelChaseRespectsFactBudget) {
-  // The budget abort happens in the sequential apply phase, so the parallel
-  // path reports the same error the sequential one does.
-  WideWorld w;
-  ChaseOptions par;
-  par.num_threads = 4;
-  // Big enough for the 900-fact seed, too small for the derived rounds, so
-  // the abort fires inside the sharded rounds' apply phase.
-  par.max_facts = 1000;
-  auto r = RunChase(w.db, w.onto, par);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
-}
-
-TEST(ChaseTest, QueryDirectedChasePlumbsThreadCount) {
-  WideWorld w;
-  CQ q = w.Query("q(x, y) :- HasOffice(x, y)");
-  QdcOptions seq;
-  QdcOptions par;
-  par.num_threads = 4;
-  auto a = QueryDirectedChase(w.db, w.onto, q, seq);
-  auto b = QueryDirectedChase(w.db, w.onto, q, par);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectChaseIdentical(**a, **b);
-}
-
-namespace {
-
-/// Invention-dense ontology for the parallel APPLY phase: multi-existential
-/// heads, head conjunctions, blocks joined through body nulls, recursion
-/// that outruns the depth cap, and — the adversarial shape for the fetch-min
-/// claim — applications reachable from TWO delta atoms of the same seed
-/// round (A(x) and B(x) land in different shards, so the duplicate
-/// candidates of the first TGD must be arbitrated across shards).
+/// Invention-dense ontology: multi-existential heads, head conjunctions,
+/// blocks joined through body nulls, recursion that outruns the depth cap,
+/// and applications reachable from two delta atoms of the same seed round
+/// (A(x) and B(x)), so the per-round and global dedup both drop repeats.
 struct InventionDenseWorld : World {
   Ontology onto;
   InventionDenseWorld() {
@@ -704,92 +574,69 @@ struct InventionDenseWorld : World {
   }
 };
 
+/// Each derived round multiplies the instance eightfold from a 4-fact seed,
+/// so the application-dedup table must grow several-fold per round.
+struct BranchingWorld : World {
+  Ontology onto;
+  BranchingWorld() {
+    onto = Onto(
+        "P(x) -> exists y1, y2, y3, y4, y5, y6, y7, y8. E(x, y1), E(x, y2), "
+        "E(x, y3), E(x, y4), E(x, y5), E(x, y6), E(x, y7), E(x, y8)\n"
+        "E(x, y) -> P(y)");
+    Load("P(s0) P(s1) P(s2) P(s3)");
+  }
+};
+
 }  // namespace
 
-TEST(ChaseTest, ParallelApplyBitIdenticalOnInventionDenseOntology) {
-  InventionDenseWorld w;
-  ChaseOptions seq;
-  seq.null_depth = 3;
-  auto a = RunChase(w.db, w.onto, seq);
-  ASSERT_TRUE(a.ok());
-  // The D/E recursion outruns the cap, so the suppressed-application path
-  // (store the not-applied sentinel back) runs inside parallel rounds.
-  EXPECT_TRUE((*a)->truncated);
-  EXPECT_GT((*a)->db.NullHighWater(), 1000u);
-  for (uint32_t threads : {2u, 4u, 8u}) {
-    ChaseOptions par = seq;
-    par.num_threads = threads;
-    auto b = RunChase(w.db, w.onto, par);
-    ASSERT_TRUE(b.ok());
-    EXPECT_GE((*b)->stats.parallel_rounds, 1u) << threads << " threads";
-    ExpectChaseIdentical(**a, **b);
-  }
+TEST(ChaseTest, FactBudgetAbortsMidRound) {
+  WideWorld w;
+  ChaseOptions opts;
+  // Big enough for the 900-fact seed, too small for the first derived
+  // round, so the abort fires inside a round's apply phase.
+  opts.max_facts = 1000;
+  auto r = RunChase(w.db, w.onto, opts);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kResourceExhausted);
 }
 
-TEST(ChaseTest, ParallelApplyFallsBackSequentiallyInRestrictedMode) {
-  // Restricted mode must take the sequential apply path at any thread
-  // count: HeadSatisfied reads the evolving instance, which the three-step
-  // pipeline cannot reproduce. The contract is the same either way —
-  // identical results — this just drives it through the fallback dispatch.
+TEST(ChaseTest, ChaseStatsInvariantsHold) {
   InventionDenseWorld w;
-  ChaseOptions seq;
-  seq.mode = ChaseMode::kRestricted;
-  seq.null_depth = 3;
-  ChaseOptions par = seq;
-  par.num_threads = 8;
-  auto a = RunChase(w.db, w.onto, seq);
-  auto b = RunChase(w.db, w.onto, par);
-  ASSERT_TRUE(a.ok());
-  ASSERT_TRUE(b.ok());
-  ExpectChaseIdentical(**a, **b);
-}
-
-TEST(ChaseTest, ChaseStatsInvariantsHoldAcrossThreadCounts) {
-  InventionDenseWorld w;
-  for (uint32_t threads : {1u, 4u}) {
-    ChaseOptions opts;
-    opts.null_depth = 3;
-    opts.num_threads = threads;
-    auto r = RunChase(w.db, w.onto, opts);
-    ASSERT_TRUE(r.ok());
-    const ChaseStats& s = (*r)->stats;
-    EXPECT_GT(s.rounds, 0u);
-    EXPECT_EQ(s.parallel_rounds > 0, threads > 1);
-    // Per-lane counters partition the totals.
-    uint64_t lane_candidates = 0;
-    uint64_t lane_inventions = 0;
-    for (uint64_t c : s.shard_candidates) lane_candidates += c;
-    for (uint64_t n : s.shard_inventions) lane_inventions += n;
-    EXPECT_EQ(lane_candidates, s.candidates);
-    EXPECT_EQ(lane_inventions, s.nulls_invented);
-    // No input nulls, so inventions account for the whole null space, and
-    // every fired application was first a candidate.
-    EXPECT_EQ(s.nulls_invented, (*r)->db.NullHighWater());
-    EXPECT_GE(s.candidates, s.applied);
-    EXPECT_GT(s.applied, 0u);
-    EXPECT_GT(s.match_nanos, 0u);
-    EXPECT_GT(s.apply_nanos, 0u);
-  }
+  ChaseOptions opts;
+  opts.null_depth = 3;
+  auto r = RunChase(w.db, w.onto, opts);
+  ASSERT_TRUE(r.ok());
+  // The D/E recursion outruns the cap, so cap suppression runs too.
+  EXPECT_TRUE((*r)->truncated);
+  const ChaseStats& s = (*r)->stats;
+  EXPECT_GT(s.rounds, 0u);
+  // No input nulls, so inventions account for the whole null space, and
+  // every fired application was first a candidate.
+  EXPECT_EQ(s.nulls_invented, (*r)->db.NullHighWater());
+  EXPECT_GE(s.candidates, s.applied);
+  EXPECT_GT(s.applied, 0u);
+  EXPECT_GT(s.match_nanos, 0u);
+  EXPECT_GT(s.apply_nanos, 0u);
 }
 
 TEST(ChaseTest, PerRoundReservationPinsAppliedTableRehashes) {
-  // The satellite contract of the per-round applied_ reservation: growth of
-  // the shared application-dedup table is a stripe-local event pinned to at
-  // most one rehash per delta round on any probe path (HashStats reports
-  // the max over stripes). Without ReserveForRound sizing from
-  // ShardCreationBound, a doubling table sees O(log n) rehashes on the
-  // hottest stripe instead.
-  InventionDenseWorld w;
-  for (uint32_t threads : {1u, 4u}) {
+  // The contract of the per-round applied_ reservation: the
+  // application-dedup table grows at most once per delta round. Without
+  // ReserveForRound's sizing, the branching world's doubling table
+  // rehashes about three times per eightfold round.
+  auto check = [](const World& w, const Ontology& onto, uint32_t depth) {
     ChaseOptions opts;
-    opts.null_depth = 3;
-    opts.num_threads = threads;
-    auto r = RunChase(w.db, w.onto, opts);
+    opts.null_depth = depth;
+    auto r = RunChase(w.db, onto, opts);
     ASSERT_TRUE(r.ok());
     const ChaseStats& s = (*r)->stats;
     ASSERT_GT(s.rounds, 0u);
-    EXPECT_LE(s.applied_rehashes, s.rounds) << threads << " threads";
-  }
+    EXPECT_LE(s.applied_rehashes, s.rounds);
+  };
+  InventionDenseWorld dense;
+  check(dense, dense.onto, 3);
+  BranchingWorld branching;
+  check(branching, branching.onto, 4);
 }
 
 }  // namespace

@@ -171,20 +171,25 @@ TEST(ServerTest, ProtocolRoundTripsThroughInProcessClient) {
         "\"forced_closes\": 0", "\"faults_fired\": 0"}) {
     EXPECT_NE(r.find(field), std::string::npos) << field << "\n" << r;
   }
-  // The chase STAT line (PR 8): phase timings and parallel-apply counters,
-  // aggregated over the successful PREPARE above — the chase ran, so the
-  // totals are live, not zero.
-  EXPECT_NE(r.find("STAT {\"bench\": \"server_chase\""), std::string::npos) << r;
-  EXPECT_NE(r.find("\"series\": \"chase\""), std::string::npos) << r;
-  for (const char* field :
-       {"\"rounds\": ", "\"parallel_rounds\": ", "\"candidates\": ",
-        "\"applied\": ", "\"nulls_invented\": ", "\"match_nanos\": ",
-        "\"apply_nanos\": ", "\"applied_rehashes\": ",
-        "\"shard_candidates\": [", "\"shard_inventions\": ["}) {
-    EXPECT_NE(r.find(field), std::string::npos) << field << "\n" << r;
-  }
-  EXPECT_EQ(r.find("\"rounds\": 0,"), std::string::npos) << r;
+  // STATS carries no chase line: the chase counters are METRICS only.
+  EXPECT_EQ(r.find("server_chase"), std::string::npos) << r;
   EXPECT_EQ(ResponseTerminator(r), "OK STATS");
+
+  // The chase counters (phase timings, candidate/apply totals), aggregated
+  // over the successful PREPARE above — the chase ran, so the totals are
+  // live, not zero.
+  r = client.Roundtrip("METRICS");
+  for (const char* metric :
+       {"omqe_chase_rounds_total ", "omqe_chase_candidates_total ",
+        "omqe_chase_applied_total ", "omqe_chase_nulls_invented_total ",
+        "omqe_chase_match_nanos_total ", "omqe_chase_apply_nanos_total ",
+        "omqe_chase_applied_rehashes_total "}) {
+    EXPECT_NE(r.find(std::string("METRIC ") + metric), std::string::npos)
+        << metric << "\n" << r;
+  }
+  EXPECT_EQ(r.find("METRIC omqe_chase_rounds_total 0\n"), std::string::npos)
+      << r;
+  EXPECT_EQ(ResponseTerminator(r), "OK METRICS");
 
   r = client.Roundtrip("CLOSE 1");
   EXPECT_EQ(r, "OK CLOSE 1\n");
@@ -855,14 +860,19 @@ TEST(ServerTest, StatLinesAgreeWithRegistryMetrics) {
   expect_field("prepare_cancelled", counter("omqe_prepare_cancelled_total"));
   expect_field("fetch_deadline_hits",
                counter("omqe_fetch_deadline_hits_total"));
-  // Chase STAT line vs the chase counters (live after the PREPARE).
+  // The chase counters are METRICS only (live after the PREPARE): the
+  // METRICS rendering carries the registry values.
   EXPECT_GT(counter("omqe_chase_rounds_total"), 0u);
-  expect_field("rounds", counter("omqe_chase_rounds_total"));
-  expect_field("candidates", counter("omqe_chase_candidates_total"));
-  expect_field("applied", counter("omqe_chase_applied_total"));
-  expect_field("nulls_invented", counter("omqe_chase_nulls_invented_total"));
-  expect_field("match_nanos", counter("omqe_chase_match_nanos_total"));
-  expect_field("apply_nanos", counter("omqe_chase_apply_nanos_total"));
+  const std::string metrics_text = client.Roundtrip("METRICS");
+  for (const char* name :
+       {"omqe_chase_rounds_total", "omqe_chase_candidates_total",
+        "omqe_chase_applied_total", "omqe_chase_nulls_invented_total",
+        "omqe_chase_match_nanos_total", "omqe_chase_apply_nanos_total"}) {
+    const std::string needle = std::string("METRIC ") + name + " " +
+                               std::to_string(counter(name)) + "\n";
+    EXPECT_NE(metrics_text.find(needle), std::string::npos)
+        << needle << metrics_text;
+  }
 
   // Sanity on workload shape: exactly what the exchange above did.
   EXPECT_EQ(counter("omqe_prepares_total"), 1u);
