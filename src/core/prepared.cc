@@ -114,6 +114,7 @@ uint32_t PreparedOMQ::SubtreeIdFor(uint64_t mask, int root_slot) {
       m &= m - 1;
       for (uint32_t v : slots_[s].vars) vars |= VarBit(v);
     }
+    st.var_set = vars;
     while (vars) {
       uint32_t v = static_cast<uint32_t>(__builtin_ctzll(vars));
       vars &= vars - 1;
@@ -151,9 +152,14 @@ void PreparedOMQ::AddProgressTree(uint32_t subtree,
   const Subtree& st = subtrees_[subtree];
   ValueTuple& g = scratch_g_;
   g.clear();
+  VarSet stars = 0;
   for (uint32_t v : st.vars) {
     Value val = hom[v];
-    g.push_back(IsNull(val) ? kStar : val);
+    if (IsNull(val)) {
+      stars |= VarBit(v);
+      val = kStar;
+    }
+    g.push_back(val);
   }
   // Condition (1): the root's predecessor variables must be constants.
   ValueTuple& pred = scratch_pred_;
@@ -165,6 +171,13 @@ void PreparedOMQ::AddProgressTree(uint32_t subtree,
   }
   CommitTree(subtree, st.root_slot, g.data(), g.size(), pred.data(),
              pred.size());
+  // Excursions from one slot mostly repeat the last star pattern, so this
+  // keeps the list short; CollectProgressTrees drops the other repeats.
+  const StarPattern pattern{subtree, stars};
+  if (stars != 0 &&
+      (star_patterns_.empty() || star_patterns_.back() != pattern)) {
+    star_patterns_.push_back(pattern);
+  }
 }
 
 void PreparedOMQ::CommitTree(uint32_t subtree, int root_slot, const Value* g,
@@ -334,6 +347,12 @@ void PreparedOMQ::CollectProgressTrees() {
       }
     }
   }
+  // Sorted and distinct: Prune probes each pattern once, in a fixed order.
+  std::sort(star_patterns_.begin(), star_patterns_.end());
+  star_patterns_.erase(
+      std::unique(star_patterns_.begin(), star_patterns_.end()),
+      star_patterns_.end());
+  star_patterns_.shrink_to_fit();
 }
 
 void PreparedOMQ::LinkLists() {
@@ -437,27 +456,26 @@ void EnumerationSession::UnbindTree(Frame* frame) {
 
 void EnumerationSession::Prune() {
   // Remove every progress tree strictly more wildcarded than the branch
-  // just output: (q, g') with g' ≻db (q, h|var(q)).
+  // just output: (q, g') with g' ≻db (q, h|var(q)). Such a g' is h with
+  // the variables of one of q's recorded star patterns starred, a pattern
+  // strictly containing h's stars on var(q); probing those finds them all.
   const PreparedOMQ& p = *prepared_;
-  for (uint32_t st_id = 0; st_id < p.subtrees_.size(); ++st_id) {
-    const PreparedOMQ::Subtree& st = p.subtrees_[st_id];
-    // Positions of var(q) currently holding constants (flippable to '*').
-    SmallVec<uint32_t, 16> flippable;
-    for (uint32_t i = 0; i < st.vars.size(); ++i) {
-      if (h_[st.vars[i]] != kStar) flippable.push_back(i);
+  VarSet h_stars = 0;
+  for (uint32_t v = 0; v < p.num_vars_; ++v) {
+    if (h_[v] == kStar) h_stars |= VarBit(v);
+  }
+  for (const PreparedOMQ::StarPattern& pat : p.star_patterns_) {
+    const PreparedOMQ::Subtree& st = p.subtrees_[pat.subtree];
+    const VarSet out = h_stars & st.var_set;
+    if ((out & ~pat.stars) != 0 || out == pat.stars) continue;
+    key_.clear();
+    key_.push_back(pat.subtree);
+    for (uint32_t v : st.vars) {
+      key_.push_back((pat.stars & VarBit(v)) != 0 ? kStar : h_[v]);
     }
-    OMQE_CHECK(flippable.size() <= 20);
-    uint32_t combos = 1u << flippable.size();
-    for (uint32_t m = 1; m < combos; ++m) {  // m=0 is (q, h|var(q)) itself
-      key_.clear();
-      key_.push_back(st_id);
-      for (uint32_t v : st.vars) key_.push_back(h_[v]);
-      for (uint32_t b = 0; b < flippable.size(); ++b) {
-        if (m & (1u << b)) key_[1 + flippable[b]] = kStar;
-      }
-      const uint32_t* id = p.location_.Find(key_.data(), key_.size());
-      if (id != nullptr) overlay_.Unlink(*id, p.pool_[*id].list);
-    }
+    ++location_probes_;
+    const uint32_t* id = p.location_.Find(key_.data(), key_.size());
+    if (id != nullptr) overlay_.Unlink(*id, p.pool_[*id].list);
   }
 }
 

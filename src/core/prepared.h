@@ -22,6 +22,7 @@
 #ifndef OMQE_CORE_PREPARED_H_
 #define OMQE_CORE_PREPARED_H_
 
+#include <compare>
 #include <memory>
 #include <vector>
 
@@ -77,11 +78,22 @@ class PreparedOMQ {
     std::vector<uint32_t> pred_vars;  // shared with parent
     std::vector<int> children;        // child slot ids (same tree)
   };
-  /// A connected subtree of q1 (the q of a progress tree (q, g)).
+  /// A connected subtree of q1 (the q of a progress tree (q, g)). A tree's
+  /// g and its location key list values in `vars` order; Prune intersects
+  /// an output's stars with `var_set` to restrict them to var(q).
   struct Subtree {
     int root_slot;
     uint64_t mask;                    // slots included
     std::vector<uint32_t> vars;       // union of node vars (ascending)
+    VarSet var_set;                   // the same variables as a mask
+  };
+  /// A (subtree, star set) pair that some progress tree in the pool has:
+  /// `stars` holds exactly the subtree variables its g maps to kStar. Only
+  /// these pairs can match a ≻db probe, so Prune probes only these.
+  struct StarPattern {
+    uint32_t subtree;
+    VarSet stars;
+    auto operator<=>(const StarPattern&) const = default;
   };
   /// Immutable payload of one progress tree; the link fields live in the
   /// initial-order arrays below (and per-session overlays thereafter).
@@ -123,6 +135,10 @@ class PreparedOMQ {
   std::vector<Subtree> subtrees_;
   FlatMap<uint64_t, uint32_t> subtree_by_mask_;  // build-only
   std::vector<PTree> pool_;
+  /// Every distinct non-empty star pattern of the pool, sorted by
+  /// (subtree, stars). Trees without wildcards need no entry: a ≻db probe
+  /// always stars at least one variable.
+  std::vector<StarPattern> star_patterns_;
   TupleMap<uint32_t> location_;   // [subtree, g...] -> pool id
   TupleMap<uint32_t> list_ids_;   // [root_slot, h|pred...] -> list id
   /// The database-preferring order of every list (Prop 5.5), as doubly
@@ -166,6 +182,11 @@ class EnumerationSession {
   /// the mechanical form of the O(1)-open contract (server_test asserts it).
   const LinkOverlay::Stats& overlay_stats() const { return overlay_.stats(); }
 
+  /// Location-table probes the ≻db pruning has made since the session was
+  /// created. One probe per recorded star pattern that strictly contains an
+  /// output's stars, so tests can bound the pruning work per answer.
+  uint64_t location_probes() const { return location_probes_; }
+
  private:
   struct Frame {
     int slot;
@@ -177,6 +198,10 @@ class EnumerationSession {
   int NextAtom(int after) const;
   void BindTree(Frame* frame, const PreparedOMQ::PTree& tree);
   void UnbindTree(Frame* frame);
+  /// The ≻db pruning after an output: unlinks every tree (q, g') that
+  /// agrees with h off strictly more stars than h has on var(q). It probes
+  /// the location table once per matching entry of star_patterns_, so its
+  /// cost per answer is bounded by the distinct star patterns in the pool.
   void Prune();
   uint32_t ListHeadFor(int slot);
   uint32_t AdvanceSkippingDead(uint32_t id) const;
@@ -190,6 +215,7 @@ class EnumerationSession {
   std::vector<Value> h_;
   std::vector<Frame> stack_;
   ValueTuple key_;                    // lookup scratch
+  uint64_t location_probes_ = 0;
   bool started_ = false;
   bool exhausted_ = false;
   bool boolean_emitted_ = false;

@@ -8,7 +8,7 @@ uint32_t CQ::AddVar(std::string name) {
   for (uint32_t i = 0; i < var_names_.size(); ++i) {
     if (var_names_[i] == name) return i;
   }
-  OMQE_CHECK(var_names_.size() < 64);  // VarSet is a 64-bit mask
+  OMQE_CHECK(var_names_.size() < kMaxQueryVars);  // VarSet is a 64-bit mask
   var_names_.push_back(std::move(name));
   return static_cast<uint32_t>(var_names_.size() - 1);
 }

@@ -37,9 +37,11 @@ struct Atom {
 };
 
 /// Set of variables as a 64-bit mask. Queries are data-complexity constants,
-/// so 64 variables is plenty; construction CHECKs the limit.
+/// so 64 variables is plenty; construction CHECKs the limit and ParseCQ
+/// rejects text that exceeds it.
 using VarSet = uint64_t;
 constexpr VarSet VarBit(uint32_t v) { return VarSet{1} << v; }
+constexpr uint32_t kMaxQueryVars = 64;
 
 class CQ {
  public:

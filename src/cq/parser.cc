@@ -124,6 +124,10 @@ Status ParseAtomList(Lexer& lex, Vocabulary* vocab, CQ* q) {
         if (t->is_const) {
           terms.push_back(MakeConstTerm(vocab->ConstantId(t->text)));
         } else {
+          if (q->num_vars() == kMaxQueryVars &&
+              q->FindVar(t->text) == UINT32_MAX) {
+            return Status::ParseError("query has more than 64 variables");
+          }
           terms.push_back(MakeVarTerm(q->AddVar(t->text)));
         }
         if (lex.Consume(')')) break;

@@ -48,6 +48,23 @@ TEST(CqParserTest, Errors) {
   EXPECT_FALSE(ParseCQ("q(x) :- R(x) junk", v).ok());    // trailing
   // Arity mismatch across atoms.
   EXPECT_FALSE(ParseCQ("q(x) :- R(x), R(x, x)", v).ok());
+  // Variable bound: a chain of 63 binary atoms has 64 variables and parses;
+  // one more atom adds a 65th, which is a ParseError rather than the
+  // AddVar CHECK (the wire parser reaches this with client text).
+  auto chain = [](int atoms) {
+    std::string text = "q(x0) :- ";
+    for (int i = 0; i < atoms; ++i) {
+      if (i > 0) text += ", ";
+      text += "E(x" + std::to_string(i) + ", x" + std::to_string(i + 1) + ")";
+    }
+    return text;
+  };
+  auto at_bound = ParseCQ(chain(63), v);
+  ASSERT_TRUE(at_bound.ok()) << at_bound.status().ToString();
+  EXPECT_EQ(at_bound->num_vars(), 64u);
+  auto over = ParseCQ(chain(64), v);
+  ASSERT_FALSE(over.ok());
+  EXPECT_EQ(over.status().code(), StatusCode::kParseError);
 }
 
 TEST(CqParserTest, ToStringRoundTrip) {

@@ -216,6 +216,62 @@ TEST(ServerTest, OverflowingFetchCountIsAnErrNotAWrap) {
   EXPECT_EQ(ResponseTerminator(r), "OK FETCH 3 done");
 }
 
+TEST(ServerTest, WideStarQueryFetchesAndServerKeepsServing) {
+  // q(x, y1..y20) :- HasOffice(x, y1), ..., HasOffice(x, y20): 2^19
+  // connected subtrees through the root atom. The pruning after each row
+  // probes only the pool's star patterns, not every subtree's subsets.
+  OfficeServer w;
+  server::InProcessClient client(w.srv.get());
+  std::string head = "q(x";
+  std::string body;
+  for (int i = 1; i <= 20; ++i) {
+    head += ", y" + std::to_string(i);
+    body += (i > 1 ? ", HasOffice(x, y" : "HasOffice(x, y") +
+            std::to_string(i) + ")";
+  }
+  std::string r = client.Roundtrip("PREPARE star " + head + ") :- " + body);
+  ASSERT_FALSE(server::IsError(r)) << r;
+  r = client.Roundtrip("OPEN star partial");
+  uint64_t sid = 0;
+  ASSERT_TRUE(server::ParseOpenSession(r, &sid)) << r;
+  r = client.Roundtrip("FETCH " + std::to_string(sid) + " 10");
+  EXPECT_EQ(ResponseTerminator(r), "OK FETCH 3 done") << r;
+  std::string mary = "mary", john = "john", mike = "mike";
+  for (int i = 0; i < 20; ++i) {
+    mary += ",room1";
+    john += ",room4";
+    mike += ",*";
+  }
+  std::vector<std::string> rows = ResponseRows(r);
+  EXPECT_EQ(std::set<std::string>(rows.begin(), rows.end()),
+            (std::set<std::string>{mary, john, mike}))
+      << r;
+
+  // Still serving: a fresh prepare, open and drain answer as usual.
+  ASSERT_FALSE(server::IsError(
+      client.Roundtrip(std::string("PREPARE offices ") + kOfficeQuery)));
+  r = client.Roundtrip("OPEN offices");
+  ASSERT_TRUE(server::ParseOpenSession(r, &sid)) << r;
+  r = client.Roundtrip("FETCH " + std::to_string(sid) + " 10");
+  EXPECT_EQ(ResponseTerminator(r), "OK FETCH 3 done") << r;
+}
+
+TEST(ServerTest, TooManyQueryVariablesIsBadRequest) {
+  // A 64-atom chain has 65 distinct variables, one past VarSet's width.
+  OfficeServer w;
+  server::InProcessClient client(w.srv.get());
+  std::string body;
+  for (int i = 0; i < 64; ++i) {
+    body += (i > 0 ? ", HasOffice(x" : "HasOffice(x") + std::to_string(i) +
+            ", x" + std::to_string(i + 1) + ")";
+  }
+  std::string r = client.Roundtrip("PREPARE wide q(x0) :- " + body);
+  EXPECT_EQ(r.rfind("ERR BADREQ", 0), 0u) << r;
+  // The connection and the server survive: the next PREPARE succeeds.
+  r = client.Roundtrip(std::string("PREPARE offices ") + kOfficeQuery);
+  EXPECT_EQ(r, "OK PREPARED offices trees=8 chase_facts=19\n") << r;
+}
+
 TEST(ServerTest, InterleavedFetchesMatchBruteForce) {
   OfficeServer w;
   server::InProcessClient client(w.srv.get());
