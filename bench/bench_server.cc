@@ -1,5 +1,6 @@
 // The query-serving subsystem end to end, through the in-process client
-// (the same HandleLine + thread-pool path a network connection takes).
+// (HandleLine on the calling thread, the request path a network connection
+// takes minus the socket).
 //
 //   S1 (amortization): aggregate throughput of 8 concurrent sessions over
 //      ONE registered prepared query vs 8 independent PREPAREs — the
@@ -14,7 +15,6 @@
 //      stay near-flat as threads scale (re-measure on multi-core hardware;
 //      the CI container is single-core so scaling there shows fairness,
 //      not parallel speedup).
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -212,74 +212,6 @@ int main(int argc, char** argv) {
     std::printf("%11u   %7zu   %6.0f   %6.0f   %6.0f\n", n, stats.answers,
                 stats.p50_ns, stats.p95_ns, stats.max_ns);
     json.AddRow("S3").Set("researchers", n).Set("fetch_", stats);
-  }
-
-  bench::PrintHeader(
-      "S5: overload shedding under a hammering client fleet (bounded queue)",
-      "threads   clients   offered   completed   shed   shed_pct   wall_ms");
-  for (uint32_t threads : {1u, 2u}) {
-    const uint32_t kClients = 16;
-    const uint32_t kPerClient = smoke ? 50 : 500;
-    Env env(smoke ? 200u : 20000u);
-    server::ServerOptions options;
-    options.threads = threads;
-    options.max_queue = 4;
-    server::OmqeServer srv(&env.vocab, &env.onto, &env.db, options);
-    server::InProcessClient seed(&srv);
-    std::string r =
-        seed.Roundtrip(std::string("PREPARE q ") + kOfficeQueryText);
-    if (server::IsError(r)) {
-      std::fprintf(stderr, "%s", r.c_str());
-      return 1;
-    }
-    // 16 clients hammer 1-2 workers behind a 4-slot queue: a large share of
-    // requests MUST be shed at the door (that is the feature — they cost the
-    // server nothing), and every non-shed request completes normally.
-    std::atomic<uint64_t> completed{0};
-    std::atomic<uint64_t> shed{0};
-    Stopwatch watch;
-    std::vector<std::thread> clients;
-    for (uint32_t c = 0; c < kClients; ++c) {
-      clients.emplace_back([&srv, &completed, &shed, kPerClient] {
-        server::InProcessClient client(&srv);
-        uint64_t sid = 0;
-        while (sid == 0) {  // the OPEN itself can be shed; retry it
-          std::string open = client.Roundtrip("OPEN q");
-          if (server::IsError(open)) continue;
-          sid = SidOf(open);
-        }
-        const std::string fetch = "FETCH " + std::to_string(sid) + " 1";
-        for (uint32_t i = 0; i < kPerClient; ++i) {
-          std::string resp = client.Roundtrip(fetch);
-          if (server::AnyRetryableError(resp)) {
-            ++shed;
-          } else if (!server::IsError(resp)) {
-            ++completed;
-            if (server::FetchDone(resp)) {
-              client.Roundtrip("RESET " + std::to_string(sid));
-            }
-          }
-        }
-        client.Roundtrip("CLOSE " + std::to_string(sid));
-      });
-    }
-    for (std::thread& t : clients) t.join();
-    double wall_ms = watch.ElapsedSeconds() * 1e3;
-    uint64_t offered = static_cast<uint64_t>(kClients) * kPerClient;
-    double shed_pct = offered > 0 ? 100.0 * shed / offered : 0;
-    std::printf("%7u   %7u   %7llu   %9llu   %4llu   %7.1f%%   %7.1f\n",
-                threads, kClients, static_cast<unsigned long long>(offered),
-                static_cast<unsigned long long>(completed.load()),
-                static_cast<unsigned long long>(shed.load()), shed_pct,
-                wall_ms);
-    json.AddRow("S5")
-        .Set("threads", threads)
-        .Set("clients", kClients)
-        .Set("offered", offered)
-        .Set("completed", completed.load())
-        .Set("shed", shed.load())
-        .Set("shed_pct", shed_pct)
-        .Set("wall_ms", wall_ms);
   }
 
   bench::PrintHeader(

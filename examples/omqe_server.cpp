@@ -5,7 +5,7 @@
 //
 //   # serve the built-in demo environment on an ephemeral port
 //   $ ./omqe_server --port=0
-//   omqe_server: listening on 127.0.0.1:37211 (4 worker threads)
+//   omqe_server: listening on 127.0.0.1:37211
 //
 //   # serve a real environment
 //   $ ./omqe_server --ontology=onto.txt --data=facts.txt --port=7411
@@ -75,7 +75,7 @@ std::string ReadAllStdin() {
 /// One exchange, retried up to `retries` extra times when the ONLY errors
 /// in the response are retryable (DEADLINE / OVERLOAD — see protocol.h's
 /// taxonomy). Exponential backoff with full jitter: attempt k sleeps a
-/// uniform draw from [0, backoff_ms * 2^k], so a thundering herd of shed
+/// uniform draw from [0, backoff_ms * 2^k], so a thundering herd of refused
 /// clients decorrelates instead of reconverging on the same tick.
 int RunClient(const std::string& host, uint16_t port, uint32_t retries,
               uint64_t backoff_ms) {
@@ -141,8 +141,8 @@ int main(int argc, char** argv) {
                                                     : nullptr;
     };
     // Range-checked numeric flag: the protocol's strict ParseU64 plus a
-    // ceiling. The strtoul-then-cast this replaces silently wrapped —
-    // --port=65537 served port 1, --threads=4294967297 spawned one worker.
+    // ceiling, so an out-of-range value (--port=65537) is an error, never a
+    // wrapped port.
     auto numeric = [&](const char* v, uint64_t max_value, uint64_t* out) {
       uint64_t parsed = 0;
       if (!server::ParseU64(v, &parsed) || parsed > max_value) {
@@ -161,9 +161,7 @@ int main(int argc, char** argv) {
       port = static_cast<uint16_t>(numeric(v, 65535, &n));
       have_port = true;
     } else if (const char* v = value("--host=")) host = v;
-    else if (const char* v = value("--threads=")) {
-      options.threads = static_cast<uint32_t>(numeric(v, UINT32_MAX, &n));
-    } else if (const char* v = value("--max-rows=")) {
+    else if (const char* v = value("--max-rows=")) {
       numeric(v, UINT64_MAX, &options.limits.max_rows);
     } else if (const char* v = value("--max-sessions=")) {
       options.limits.max_sessions = static_cast<uint32_t>(numeric(v, UINT32_MAX, &n));
@@ -180,8 +178,6 @@ int main(int argc, char** argv) {
       options.drain_deadline_ms = static_cast<int64_t>(numeric(v, INT64_MAX, &n));
     } else if (const char* v = value("--max-line-bytes=")) {
       options.max_line_bytes = static_cast<size_t>(numeric(v, UINT32_MAX, &n));
-    } else if (const char* v = value("--max-queue=")) {
-      options.max_queue = static_cast<size_t>(numeric(v, UINT32_MAX, &n));
     } else if (const char* v = value("--retries=")) {
       numeric(v, 100, &retries);
     } else if (const char* v = value("--backoff-ms=")) {
@@ -253,9 +249,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "pass --port=N (0 = ephemeral), --stdio, or --client\n");
     return 2;
   }
-  Status s = server::ServeTcp(&srv, port, [&](uint16_t bound) {
-    std::fprintf(stderr, "omqe_server: listening on 127.0.0.1:%u (%u worker threads)\n",
-                 bound, srv.pool().num_threads());
+  Status s = server::ServeTcp(&srv, port, [](uint16_t bound) {
+    std::fprintf(stderr, "omqe_server: listening on 127.0.0.1:%u\n", bound);
   });
   if (!s.ok()) {
     std::fprintf(stderr, "%s\n", s.ToString().c_str());

@@ -161,11 +161,8 @@ StatusOr<Request> ParseRequest(std::string_view line) {
     }
     return req;
   }
-  if (EqualsIgnoreCase(verb, "STATS") || EqualsIgnoreCase(verb, "QUIT") ||
-      EqualsIgnoreCase(verb, "SHUTDOWN")) {
-    req.verb = EqualsIgnoreCase(verb, "STATS")  ? Verb::kStats
-               : EqualsIgnoreCase(verb, "QUIT") ? Verb::kQuit
-                                                : Verb::kShutdown;
+  if (EqualsIgnoreCase(verb, "QUIT") || EqualsIgnoreCase(verb, "SHUTDOWN")) {
+    req.verb = EqualsIgnoreCase(verb, "QUIT") ? Verb::kQuit : Verb::kShutdown;
     if (!Trim(rest).empty()) {
       return Status::InvalidArgument("verb takes no arguments");
     }
@@ -173,7 +170,7 @@ StatusOr<Request> ParseRequest(std::string_view line) {
   }
   return Status::InvalidArgument("unknown verb '" + std::string(verb) +
                                  "' (PREPARE OPEN FETCH RESET CLOSE EVICT "
-                                 "STATS METRICS TRACE QUIT SHUTDOWN)");
+                                 "METRICS TRACE QUIT SHUTDOWN)");
 }
 
 std::string OkLine(std::string_view detail) {
@@ -242,10 +239,6 @@ std::string ErrLineFor(const Status& status) {
   return ErrLine(ErrCodeFor(status), status.message());
 }
 
-std::string RowLine(std::string_view rendered_tuple) {
-  return "ROW " + std::string(rendered_tuple);
-}
-
 std::string StatLine(std::string_view json) {
   return "STAT " + std::string(json);
 }
@@ -256,10 +249,6 @@ std::string MetricLine(std::string_view exposition_line) {
 
 std::string SpanLine(std::string_view rendered_span) {
   return "SPAN " + std::string(rendered_span);
-}
-
-bool IsTerminator(std::string_view line) {
-  return StartsWith(line, "OK") || StartsWith(line, "ERR");
 }
 
 bool IsError(std::string_view line) { return StartsWith(line, "ERR"); }

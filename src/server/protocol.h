@@ -9,7 +9,6 @@
 //   RESET <sid>
 //   CLOSE <sid>
 //   EVICT <name>
-//   STATS
 //   METRICS [json]                full metric registry (Prometheus text, or
 //                                 one BENCH-JSON STAT line with "json")
 //   TRACE on|off|dump             arm/disarm span tracing; dump retained spans
@@ -22,10 +21,10 @@
 //   OK <detail...>                success terminator
 //   ERR <code> <message>          failure terminator (structured; see below)
 //   ROW <v1>,<v2>,...             one answer tuple (FETCH data line)
-//   STAT <json>                   registry/session counters (STATS data line,
-//                                 one line of BENCH-format JSON)
+//   STAT <json>                   the metric registry as one line of
+//                                 BENCH-format JSON ("METRICS json" data line)
 //   METRIC <text>                 one Prometheus exposition line (METRICS
-//                                 data line; "METRICS json" uses STAT instead)
+//                                 data line)
 //   SPAN <text>                   one trace span (TRACE dump data line)
 //
 // FETCH's terminator is "OK FETCH <k> more|done": <k> rows were emitted and
@@ -38,12 +37,14 @@
 //   code       retryable  meaning
 //   ---------  ---------  -------------------------------------------------
 //   BADREQ     no         malformed request: unknown verb, bad arguments,
-//                         unparsable query, oversized line
+//                         unparsable query, oversized line; also a PREPARE
+//                         refused by the chase-size admission estimate or
+//                         the chase fact budget (a resend fails the same way)
 //   NOTFOUND   no         no prepared query / session with that name or id
 //   DEADLINE   yes        the request's deadline expired before completion
 //                         (retry observes the same deadline budget afresh)
-//   OVERLOAD   yes        shed before starting: the worker queue was full
-//                         (retry after backoff; the server did no work)
+//   OVERLOAD   yes        OPEN refused at the session cap (retry after
+//                         backoff, once sessions close or idle out)
 //   CANCELLED  no         the request was cancelled (e.g. server shutdown
 //                         revoked an in-flight PREPARE)
 //   INTERNAL   no         invariant failure or injected fault; not retried
@@ -75,7 +76,6 @@ enum class Verb {
   kReset,
   kClose,
   kEvict,
-  kStats,
   kMetrics,
   kTrace,
   kQuit,
@@ -83,7 +83,7 @@ enum class Verb {
 };
 
 struct Request {
-  Verb verb = Verb::kStats;
+  Verb verb = Verb::kPrepare;
   std::string name;        // PREPARE / OPEN / EVICT query name
   std::string query_text;  // PREPARE body (everything after the name)
   bool complete = false;   // OPEN mode (default: partial)
@@ -124,7 +124,8 @@ bool IsRetryable(ErrCode code);
 
 /// Maps a Status from the registry / session manager / parser onto the wire
 /// taxonomy. InvalidArgument, ParseError and NotSupported are the caller's
-/// fault (BADREQ); ResourceExhausted means shed or over budget (OVERLOAD);
+/// fault (BADREQ); ResourceExhausted means over budget (OVERLOAD; the server
+/// answers PREPARE's deterministic budget refusals with BADREQ instead);
 /// everything unclassified degrades to INTERNAL.
 ErrCode ErrCodeFor(const Status& status);
 
@@ -133,13 +134,10 @@ std::string OkLine(std::string_view detail);
 std::string ErrLine(ErrCode code, std::string_view message);
 /// ErrLine with the code derived from `status` via ErrCodeFor.
 std::string ErrLineFor(const Status& status);
-std::string RowLine(std::string_view rendered_tuple);
 std::string StatLine(std::string_view json);
 std::string MetricLine(std::string_view exposition_line);
 std::string SpanLine(std::string_view rendered_span);
 
-/// True when `line` is a terminator (OK/ERR) rather than a data line.
-bool IsTerminator(std::string_view line);
 /// True when `line` reports failure.
 bool IsError(std::string_view line);
 

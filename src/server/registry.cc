@@ -1,6 +1,6 @@
 #include "server/registry.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "base/fault.h"
 #include "base/str.h"
@@ -222,33 +222,6 @@ bool QueryRegistry::Evict(const std::string& name) {
 size_t QueryRegistry::size() const {
   EpochGuard guard;
   return snapshot_.load(std::memory_order_seq_cst)->queries.size();
-}
-
-std::vector<std::string> QueryRegistry::Names() const {
-  std::vector<std::string> names;
-  {
-    EpochGuard guard;
-    const Snapshot* snap = snapshot_.load(std::memory_order_seq_cst);
-    names.reserve(snap->queries.size());
-    for (const auto& [name, _] : snap->queries) names.push_back(name);
-  }
-  std::sort(names.begin(), names.end());
-  return names;
-}
-
-RegistryStats QueryRegistry::stats() const {
-  // A view over the metric counters — the single source of truth, so this
-  // can never disagree with what METRICS renders.
-  RegistryStats out;
-  out.prepares = m_.prepares->Value();
-  out.prepare_failures = m_.prepare_failures->Value();
-  out.rejected_by_estimate = m_.rejected_by_estimate->Value();
-  out.evictions = m_.evictions->Value();
-  out.hits = m_.hits->Value();
-  out.misses = m_.misses->Value();
-  out.deadline_exceeded = m_.deadline_exceeded->Value();
-  out.cancelled = m_.cancelled->Value();
-  return out;
 }
 
 }  // namespace omqe::server

@@ -11,7 +11,7 @@
 // same shared-ownership contract core/prepared.h gives sessions).
 //
 // Read path (RCU): the name table is an immutable Snapshot behind an atomic
-// pointer. Get()/Names()/size() pin an EpochGuard, walk the snapshot, and
+// pointer. Get()/size() pin an EpochGuard, walk the snapshot, and
 // copy out the shared_ptr they need — no lock, no writer can stall them.
 // Writers (Prepare publish, Evict) copy-on-write a new Snapshot under mu_,
 // swap the pointer, Retire() the old version to the global epoch domain,
@@ -35,7 +35,6 @@
 #include <mutex>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 #include "base/cancel.h"
 #include "base/counted_mutex.h"
@@ -58,20 +57,9 @@ struct RegistryOptions {
   /// new name stays absent and re-preparable).
   uint64_t prepare_deadline_ms = 0;
   /// Metric registry the registry's counters live in (null = the registry
-  /// owns a private one). The counters ARE the bookkeeping — stats() and the
-  /// STATS line read them back, so the two surfaces cannot drift.
+  /// owns a private one). The counters ARE the bookkeeping; METRICS renders
+  /// them.
   metrics::Registry* metrics = nullptr;
-};
-
-struct RegistryStats {
-  uint64_t prepares = 0;            ///< successful Prepare calls
-  uint64_t prepare_failures = 0;    ///< failed Prepare calls (all causes)
-  uint64_t rejected_by_estimate = 0;///< of those, rejected by the pre-pass
-  uint64_t evictions = 0;
-  uint64_t hits = 0;                ///< Get() found the name
-  uint64_t misses = 0;              ///< Get() did not
-  uint64_t deadline_exceeded = 0;   ///< prepares aborted by their deadline
-  uint64_t cancelled = 0;           ///< prepares revoked by cancel/drain
 };
 
 class QueryRegistry {
@@ -96,9 +84,7 @@ class QueryRegistry {
   /// Removes `name`. Live sessions keep their reference. False if absent.
   bool Evict(const std::string& name);
 
-  size_t size() const;                ///< lock-free
-  std::vector<std::string> Names() const;  ///< lock-free
-  RegistryStats stats() const;
+  size_t size() const;  ///< lock-free
 
   /// Requests cooperative cancellation of the Prepare currently running (if
   /// any): its CancelToken is flagged and it returns Cancelled at the next
@@ -152,9 +138,8 @@ class QueryRegistry {
   /// Backing store when no external metric registry was injected.
   std::unique_ptr<metrics::Registry> owned_metrics_;
   metrics::Registry* metrics_ = nullptr;
-  /// The registry's bookkeeping lives directly in metric counters — there is
-  /// no shadow struct for METRICS and STATS to disagree about. The hot-path
-  /// pair (hits/misses on Get) are lock-free striped counters.
+  /// The registry's bookkeeping lives directly in metric counters. The
+  /// hot-path pair (hits/misses on Get) are lock-free striped counters.
   struct Counters {
     metrics::Counter* prepares;
     metrics::Counter* prepare_failures;

@@ -14,7 +14,6 @@
 #include <cstdio>
 #include <cstring>
 #include <ctime>
-#include <future>
 
 #include "base/cancel.h"
 #include "base/fault.h"
@@ -46,7 +45,6 @@ const char* VerbName(Verb verb) {
     case Verb::kReset: return "RESET";
     case Verb::kClose: return "CLOSE";
     case Verb::kEvict: return "EVICT";
-    case Verb::kStats: return "STATS";
     case Verb::kMetrics: return "METRICS";
     case Verb::kTrace: return "TRACE";
     case Verb::kQuit: return "QUIT";
@@ -82,7 +80,7 @@ bool ParseLogLevel(std::string_view text, LogLevel* out) {
 }
 
 // ---------------------------------------------------------------------------
-// OmqeServer. (ThreadPool lives in base/thread_pool.cc now.)
+// OmqeServer.
 // ---------------------------------------------------------------------------
 
 OmqeServer::OmqeServer(Vocabulary* vocab, const Ontology* onto,
@@ -90,10 +88,8 @@ OmqeServer::OmqeServer(Vocabulary* vocab, const Ontology* onto,
     : vocab_(vocab),
       options_(options),
       registry_(onto, db, WithMetrics(options.registry, &metrics_)),
-      sessions_(options.limits, &metrics_),
-      pool_(options.threads, options.max_queue) {
+      sessions_(options.limits, &metrics_) {
   OMQE_CHECK(vocab_ != nullptr);
-  wire_stats_.shed_requests = metrics_.GetCounter("omqe_shed_requests_total");
   wire_stats_.write_timeout_closes =
       metrics_.GetCounter("omqe_write_timeout_closes_total");
   wire_stats_.oversized_lines =
@@ -170,7 +166,15 @@ void OmqeServer::DoPrepare(const Request& req, std::string* out) {
   }
   auto prepared = registry_.Prepare(req.name, query.value());
   if (!prepared.ok()) {
-    *out += ErrLineFor(prepared.status()) + "\n";
+    // PREPARE's ResourceExhausted refusals (the admission estimate and the
+    // chase fact budget) depend only on the query and the fixed environment,
+    // so an identical resend fails the same way: answer the non-retryable
+    // BADREQ, not ErrCodeFor's OVERLOAD.
+    const Status& s = prepared.status();
+    *out += (s.code() == StatusCode::kResourceExhausted
+                 ? ErrLine(ErrCode::kBadReq, s.message())
+                 : ErrLineFor(s)) +
+            "\n";
     return;
   }
   *out += OkLine("PREPARED " + req.name + " trees=" +
@@ -210,7 +214,7 @@ void OmqeServer::DoFetch(const Request& req, std::string* out) {
   }
   {
     // Shared: rendering only reads the vocabulary's symbol tables. Hot
-    // path — append in place (no RowLine temporaries) and resolve
+    // path — append in place (no per-row temporaries) and resolve
     // constants through the allocation-free name ref.
     std::shared_lock<std::shared_mutex> lock(vocab_mu_);
     for (const ValueTuple& row : rows) {
@@ -232,51 +236,6 @@ void OmqeServer::DoFetch(const Request& req, std::string* out) {
   *out += OkLine("FETCH " + std::to_string(rows.size()) +
                  (done ? " done" : " more")) +
           "\n";
-}
-
-void OmqeServer::DoStats(std::string* out) {
-  *out += StatLine(sessions_.StatsJson()) + "\n";
-  RegistryStats rs = registry_.stats();
-  std::string reg = "{\"bench\": \"server_registry\", \"smoke\": false, "
-                    "\"rows\": [{\"series\": \"registry\"";
-  auto field = [&reg](const char* key, uint64_t v) {
-    reg += ", \"";
-    reg += key;
-    reg += "\": ";
-    reg += std::to_string(v);
-  };
-  field("registered", registry_.size());
-  field("prepares", rs.prepares);
-  field("prepare_failures", rs.prepare_failures);
-  field("rejected_by_estimate", rs.rejected_by_estimate);
-  field("evictions", rs.evictions);
-  field("hits", rs.hits);
-  field("misses", rs.misses);
-  reg += "}]}";
-  *out += StatLine(reg) + "\n";
-  // The robustness counters (deadlines, sheds, faults) as a third STAT
-  // line, same BENCH shape — robustness_test asserts against these.
-  SessionManagerStats ss = sessions_.stats();
-  std::string rob = "{\"bench\": \"server_robustness\", \"smoke\": false, "
-                    "\"rows\": [{\"series\": \"robustness\"";
-  auto rfield = [&rob](const char* key, uint64_t v) {
-    rob += ", \"";
-    rob += key;
-    rob += "\": ";
-    rob += std::to_string(v);
-  };
-  rfield("prepare_deadline_exceeded", rs.deadline_exceeded);
-  rfield("prepare_cancelled", rs.cancelled);
-  rfield("fetch_deadline_hits", ss.fetch_deadline_hits);
-  rfield("fetch_deadline_empty", ss.fetch_deadline_empty);
-  rfield("shed_requests", wire_stats_.shed_requests->Value());
-  rfield("write_timeout_closes", wire_stats_.write_timeout_closes->Value());
-  rfield("oversized_lines", wire_stats_.oversized_lines->Value());
-  rfield("forced_closes", wire_stats_.forced_closes->Value());
-  rfield("faults_fired", FaultInjector::Instance().fired());
-  rob += "}]}";
-  *out += StatLine(rob) + "\n";
-  *out += OkLine("STATS") + "\n";
 }
 
 void OmqeServer::DoMetrics(const Request& req, std::string* out) {
@@ -385,9 +344,6 @@ bool OmqeServer::Dispatch(const Request& req, std::string* out) {
                              "unknown prepared query '" + req.name + "'")) +
               "\n";
       return true;
-    case Verb::kStats:
-      DoStats(out);
-      return true;
     case Verb::kMetrics:
       DoMetrics(req, out);
       return true;
@@ -410,28 +366,9 @@ bool OmqeServer::Dispatch(const Request& req, std::string* out) {
 // ---------------------------------------------------------------------------
 
 std::string InProcessClient::Roundtrip(std::string_view line) {
-  auto result = std::make_shared<std::promise<std::string>>();
-  std::future<std::string> future = result->get_future();
-  std::string request(line);
-  OmqeServer* server = server_;
-  bool queued = server_->pool().TrySubmit([server, request, result] {
-    std::string out;
-    server->HandleLine(request, &out);
-    result->set_value(std::move(out));
-  });
-  if (!queued) {
-    // Shed at the door: the pool's bounded queue is full, so answer
-    // OVERLOAD now instead of parking this request behind work it would
-    // time out waiting on. Retryable by contract — no server state changed.
-    server_->wire_stats().shed_requests->Inc();
-    server_->LogEvent(LogLevel::kWarn, "shed",
-                      "reason=queue_full request=\"" +
-                          std::string(line.substr(0, 80)) + "\"");
-    return ErrLine(ErrCode::kOverload,
-                   "worker queue full, retry after backoff") +
-           "\n";
-  }
-  return future.get();
+  std::string out;
+  server_->HandleLine(line, &out);
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -600,10 +537,9 @@ Status ServeTcp(OmqeServer* server, uint16_t port,
     ::getsockname(listen_fd, reinterpret_cast<struct sockaddr*>(&addr), &len);
     on_bound(ntohs(addr.sin_port));
   }
-  // One thread per connection, NOT a pool job: a connection lives as long
-  // as the client keeps it open, and a long-lived job would pin a worker —
-  // `threads` idle keep-alive connections would starve every later one.
-  // The pool stays the execution vehicle for in-process clients.
+  // One thread per connection: a connection lives as long as the client
+  // keeps it open, so a fixed set of workers would let idle keep-alive
+  // connections starve every later one.
   std::vector<Connection> connections;
   auto reap_finished = [&connections] {
     for (size_t i = 0; i < connections.size();) {

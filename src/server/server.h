@@ -9,13 +9,11 @@
 // rendering takes a shared vocabulary lock so readers proceed in parallel.
 //
 // Three transports drive it:
-//   - InProcessClient: requests submitted to the server's ThreadPool and
-//     awaited — the client tests and bench_server use (same code path as a
-//     network worker, no sockets).
+//   - InProcessClient: HandleLine on the caller's thread — what the tests
+//     and bench_server use (the request path a connection takes, minus the
+//     socket).
 //   - ServeTcp(): a POSIX accept loop; each connection gets its own thread
-//     running read-line/handle/write-block until QUIT/EOF (a connection
-//     lives arbitrarily long, so parking it on a pool worker would let
-//     `threads` idle connections starve all later ones). SHUTDOWN stops
+//     running read-line/handle/write-block until QUIT/EOF. SHUTDOWN stops
 //     the accept loop, joins the connection threads, and returns.
 //   - stdio (examples/omqe_server --stdio): read stdin, write stdout.
 #ifndef OMQE_SERVER_SERVER_H_
@@ -33,7 +31,6 @@
 #include <vector>
 
 #include "base/metrics.h"
-#include "base/thread_pool.h"
 #include "data/schema.h"
 #include "server/protocol.h"
 #include "server/registry.h"
@@ -41,17 +38,13 @@
 
 namespace omqe::server {
 
-/// The worker pool lives in base/thread_pool.h; the alias keeps existing
-/// server call sites spelled the same.
-using ThreadPool = ::omqe::ThreadPool;
-
-/// Stderr logging verbosity for connection-lifecycle events (accept, shed,
+/// Stderr logging verbosity for connection-lifecycle events (accept,
 /// write-timeout close, oversize close, forced close, slow request). Events
 /// at or below the configured level are emitted as one structured
 /// `key=value` line each; everything still ticks its counter regardless.
 enum class LogLevel {
   kError = 0,
-  kWarn = 1,   ///< default: sheds, closes, slow requests
+  kWarn = 1,   ///< default: closes, slow requests
   kInfo = 2,   ///< + accepts / connection lifecycle
   kDebug = 3,
 };
@@ -60,16 +53,10 @@ enum class LogLevel {
 bool ParseLogLevel(std::string_view text, LogLevel* out);
 
 struct ServerOptions {
-  uint32_t threads = 4;
   SessionLimits limits;
   RegistryOptions registry;
   /// Cap on rows a single FETCH may return (protocol hygiene). 0 = none.
   uint64_t max_fetch_batch = 100000;
-  /// Overload shedding: pool jobs allowed to wait beyond the ones running.
-  /// When the queue is full, InProcessClient requests are rejected up front
-  /// with ERR OVERLOAD instead of queueing behind work they would time out
-  /// waiting for. 0 = unbounded (no shedding).
-  size_t max_queue = 0;
   /// Per-connection input-buffer bound: a request line longer than this
   /// answers ERR BADREQ and closes the connection (a text protocol has no
   /// business carrying megabyte lines; an unbounded buffer is a memory DoS
@@ -98,11 +85,9 @@ struct ServerOptions {
 };
 
 /// Transport/robustness counters — lock-free striped metric counters living
-/// in the server's metric registry (so the STATS line, METRICS, and
-/// robustness_test all read the same cells). They tick on connection
-/// threads and the pool's submit path concurrently.
+/// in the server's metric registry (so METRICS and robustness_test read the
+/// same cells). They tick on connection threads concurrently.
 struct WireStats {
-  metrics::Counter* shed_requests = nullptr;       ///< rejected with OVERLOAD
   metrics::Counter* write_timeout_closes = nullptr;///< stalled readers closed
   metrics::Counter* oversized_lines = nullptr;     ///< BADREQ line-too-long
   metrics::Counter* forced_closes = nullptr;       ///< drain-deadline shutdowns
@@ -146,7 +131,6 @@ class OmqeServer {
 
   QueryRegistry& registry() { return registry_; }
   SessionManager& sessions() { return sessions_; }
-  ThreadPool& pool() { return pool_; }
   WireStats& wire_stats() { return wire_stats_; }
   const ServerOptions& options() const { return options_; }
   /// The server's metric registry: every counter/gauge/histogram of the
@@ -164,7 +148,6 @@ class OmqeServer {
   void DoPrepare(const Request& req, std::string* out);
   void DoOpen(const Request& req, std::string* out);
   void DoFetch(const Request& req, std::string* out);
-  void DoStats(std::string* out);
   void DoMetrics(const Request& req, std::string* out);
   void DoTrace(const Request& req, std::string* out);
   /// The verb switch HandleLine wraps with latency/trace instrumentation.
@@ -177,7 +160,6 @@ class OmqeServer {
   metrics::Registry metrics_;
   QueryRegistry registry_;
   SessionManager sessions_;
-  ThreadPool pool_;
   /// Per-verb request-latency histograms, indexed by Verb.
   static constexpr size_t kNumVerbs = static_cast<size_t>(Verb::kShutdown) + 1;
   metrics::Histogram* verb_latency_[kNumVerbs] = {};
@@ -194,16 +176,14 @@ class OmqeServer {
   std::thread reaper_;
 };
 
-/// A client whose requests run on the server's worker pool — the in-process
-/// stand-in for a network connection, used by server_test and bench_server.
+/// The in-process stand-in for a network connection, used by the tests and
+/// bench_server: each request runs HandleLine on the caller's thread, as a
+/// connection thread does.
 class InProcessClient {
  public:
   explicit InProcessClient(OmqeServer* server) : server_(server) {}
 
-  /// Submits `line` to the pool and blocks for the response block. When the
-  /// pool's bounded queue (ServerOptions::max_queue) is full the request is
-  /// shed: an "ERR OVERLOAD ..." block comes back immediately and the
-  /// server did no work on it.
+  /// Executes `line` and returns its response block.
   std::string Roundtrip(std::string_view line);
 
  private:
@@ -211,9 +191,8 @@ class InProcessClient {
 };
 
 /// Serves the protocol on a loopback TCP port — one dedicated thread per
-/// connection (NOT a pool job: connections live arbitrarily long; see the
-/// header comment), finished connection threads reaped on every accept
-/// tick. Blocks until a SHUTDOWN request arrives, then joins the remaining
+/// connection, finished connection threads reaped on every accept tick.
+/// Blocks until a SHUTDOWN request arrives, then joins the remaining
 /// connections and returns OK. `port` 0 picks an ephemeral port;
 /// `on_bound`, when set, is invoked with the bound port after listen()
 /// succeeds and before the first accept — the race-free way for callers

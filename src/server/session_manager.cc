@@ -398,50 +398,4 @@ size_t SessionManager::live_sessions() const {
   return static_cast<size_t>(live_.load(std::memory_order_relaxed));
 }
 
-SessionManagerStats SessionManager::stats() const {
-  // A view over the metric counters — the single source of truth, so this
-  // can never disagree with what METRICS renders.
-  SessionManagerStats s;
-  s.opened = m_.opened->Value();
-  s.closed = m_.closed->Value();
-  s.reaped = m_.reaped->Value();
-  s.fetch_calls = m_.fetch_calls->Value();
-  s.rows = m_.rows->Value();
-  s.resets = m_.resets->Value();
-  s.budget_exhausted = m_.budget_exhausted->Value();
-  s.open_rejected = m_.open_rejected->Value();
-  s.fetch_deadline_hits = m_.fetch_deadline_hits->Value();
-  s.fetch_deadline_empty = m_.fetch_deadline_empty->Value();
-  return s;
-}
-
-std::string SessionManager::StatsJson() const {
-  const SessionManagerStats s = stats();
-  const size_t live = live_sessions();
-  // The BENCH baseline shape ({"bench", "smoke", "rows"}) so the server's
-  // counters flow through the same validation and diff tooling as every
-  // bench_*.json artifact.
-  std::string out = "{\"bench\": \"server\", \"smoke\": false, \"rows\": [";
-  out += "{\"series\": \"sessions\"";
-  auto field = [&out](const char* key, uint64_t v) {
-    out += ", \"";
-    out += key;
-    out += "\": ";
-    out += std::to_string(v);
-  };
-  field("live", live);
-  field("opened", s.opened);
-  field("closed", s.closed);
-  field("reaped", s.reaped);
-  field("fetch_calls", s.fetch_calls);
-  field("rows", s.rows);
-  field("resets", s.resets);
-  field("budget_exhausted", s.budget_exhausted);
-  field("open_rejected", s.open_rejected);
-  field("fetch_deadline_hits", s.fetch_deadline_hits);
-  field("fetch_deadline_empty", s.fetch_deadline_empty);
-  out += "}]}";
-  return out;
-}
-
 }  // namespace omqe::server

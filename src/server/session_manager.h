@@ -24,17 +24,12 @@
 // tombstone (closed — probe continues); sids are never reused, so a reader
 // that re-finds its tag but a Box with a different sid knows the slot was
 // recycled and the session is gone.
-//
-// StatsJson() exports the counters in the BENCH JSON format (the same
-// {"bench":..., "rows":[...]} shape every harness emits and CI validates),
-// so server metrics can be collected and diffed with the existing tooling.
 #ifndef OMQE_SERVER_SESSION_MANAGER_H_
 #define OMQE_SERVER_SESSION_MANAGER_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "base/cancel.h"
@@ -66,25 +61,11 @@ struct SessionLimits {
   uint64_t fetch_deadline_ms = 0;
 };
 
-struct SessionManagerStats {
-  uint64_t opened = 0;
-  uint64_t closed = 0;            ///< explicit Close calls
-  uint64_t reaped = 0;            ///< closed by ReapIdle
-  uint64_t fetch_calls = 0;
-  uint64_t rows = 0;              ///< total rows emitted
-  uint64_t resets = 0;
-  uint64_t budget_exhausted = 0;  ///< fetches truncated by max_rows
-  uint64_t open_rejected = 0;     ///< Open refused by max_sessions
-  uint64_t fetch_deadline_hits = 0;  ///< fetches cut short by the deadline
-  uint64_t fetch_deadline_empty = 0; ///< of those, zero-row ones that errored
-};
-
 class SessionManager {
  public:
   /// `metrics` is where the manager's counters and the per-answer
   /// enumeration-delay histogram live (null = a private registry). The
-  /// counters ARE the bookkeeping; stats()/StatsJson() are views over them,
-  /// so the STAT line and METRICS can never drift.
+  /// counters ARE the bookkeeping; METRICS renders them.
   explicit SessionManager(SessionLimits limits = {},
                           metrics::Registry* metrics = nullptr);
   ~SessionManager();
@@ -131,10 +112,6 @@ class SessionManager {
   StatusOr<LinkOverlay::Stats> OverlayStats(uint64_t sid) const;
 
   size_t live_sessions() const;
-  SessionManagerStats stats() const;
-
-  /// The counters as one BENCH-format JSON document (bench name "server").
-  std::string StatsJson() const;
 
  private:
   struct Session {

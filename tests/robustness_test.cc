@@ -1,10 +1,10 @@
-// Robustness of the serving stack under deadlines, cancellation, overload,
-// and injected faults (PR 7):
+// Robustness of the serving stack under deadlines, cancellation and
+// injected faults:
 //   - a PREPARE that exceeds its deadline answers ERR DEADLINE within 2x the
 //     deadline, publishes nothing, and leaves the name re-preparable — the
 //     acceptance contract;
-//   - cooperative chase cancellation aborts cleanly at 1/2/4 worker threads
-//     (the ASan/TSan payload for the token plumbing);
+//   - cooperative chase cancellation aborts cleanly, by deadline and by a
+//     cross-thread Cancel (the ASan/TSan payload for the token plumbing);
 //   - fetch deadlines return partial batches without ever losing or
 //     duplicating rows;
 //   - the fault-injection sweep drives every declared point and checks the
@@ -12,8 +12,8 @@
 //     with a clean error — never a silently truncated success;
 //   - wire-level garbage (oversized lines, binary junk, partial lines) is
 //     answered with the BADREQ taxonomy, not a crash;
-//   - overload sheds with a retryable OVERLOAD, and a stalled reader trips
-//     the write timeout instead of pinning a connection thread forever.
+//   - a stalled reader trips the write timeout instead of pinning a
+//     connection thread forever.
 #include <arpa/inet.h>
 #include <gtest/gtest.h>
 #include <netinet/in.h>
@@ -317,11 +317,14 @@ TEST(RobustnessTest, PrepareDeadlineAnswersWithinTwiceTheDeadline) {
   EXPECT_EQ(code, server::ErrCode::kDeadline) << r;
   EXPECT_LT(elapsed_ms, static_cast<int64_t>(2 * kDeadlineMs)) << r;
 
-  // Nothing was published and no pool thread is pinned: the server keeps
-  // answering, the name stays absent, and its sessions are untouched.
+  // Nothing was published: the server keeps answering, the name stays
+  // absent, and its sessions are untouched.
   EXPECT_EQ(w.srv->registry().Get("heavy"), nullptr);
   EXPECT_EQ(w.srv->registry().size(), 0u);
-  EXPECT_EQ(w.srv->registry().stats().deadline_exceeded, 1u);
+  EXPECT_EQ(w.srv->metric_registry()
+                .GetCounter("omqe_prepare_deadline_exceeded_total")
+                ->Value(),
+            1u);
   EXPECT_TRUE(server::IsError(client.Roundtrip("OPEN heavy")));
 
   // Re-preparable: lift the deadline and publish a tractable query under
@@ -331,12 +334,11 @@ TEST(RobustnessTest, PrepareDeadlineAnswersWithinTwiceTheDeadline) {
   ASSERT_FALSE(server::IsError(again)) << again;
   EXPECT_NE(w.srv->registry().Get("heavy"), nullptr);
 
-  // The robustness STAT line carries the deadline counter.
-  std::string stats = client.Roundtrip("STATS");
-  EXPECT_NE(stats.find("\"series\": \"robustness\""), std::string::npos)
-      << stats;
-  EXPECT_NE(stats.find("\"prepare_deadline_exceeded\": 1"), std::string::npos)
-      << stats;
+  // METRICS carries the deadline counter.
+  std::string metrics = client.Roundtrip("METRICS");
+  EXPECT_NE(metrics.find("METRIC omqe_prepare_deadline_exceeded_total 1\n"),
+            std::string::npos)
+      << metrics;
 }
 
 TEST(RobustnessTest, ShutdownCancelsInFlightPrepare) {
@@ -345,8 +347,8 @@ TEST(RobustnessTest, ShutdownCancelsInFlightPrepare) {
   auto pending = std::async(std::launch::async, [&] {
     return client.Roundtrip(std::string("PREPARE heavy ") + kHeavyQuery);
   });
-  // Give the pool worker time to enter the chase, then revoke it the way
-  // the SHUTDOWN verb does.
+  // Give the request time to enter the chase, then revoke it the way the
+  // SHUTDOWN verb does.
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   w.srv->BeginShutdown();
   std::string r = pending.get();
@@ -355,7 +357,9 @@ TEST(RobustnessTest, ShutdownCancelsInFlightPrepare) {
   ASSERT_TRUE(server::ParseErrCode(ResponseTerminator(r), &code)) << r;
   EXPECT_EQ(code, server::ErrCode::kCancelled) << r;
   EXPECT_EQ(w.srv->registry().Get("heavy"), nullptr);
-  EXPECT_EQ(w.srv->registry().stats().cancelled, 1u);
+  EXPECT_EQ(
+      w.srv->metric_registry().GetCounter("omqe_prepare_cancelled_total")->Value(),
+      1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -431,7 +435,8 @@ TEST(RobustnessTest, FetchDeadlineReturnsPartialBatchesWithoutLosingRows) {
 
   server::SessionLimits limits;
   limits.fetch_deadline_ms = 1;
-  server::SessionManager manager(limits);
+  metrics::Registry metrics;
+  server::SessionManager manager(limits, &metrics);
   auto sid = manager.Open(*prepared, /*complete=*/true);
   ASSERT_TRUE(sid.ok());
 
@@ -460,7 +465,7 @@ TEST(RobustnessTest, FetchDeadlineReturnsPartialBatchesWithoutLosingRows) {
   EXPECT_FALSE(done);
   EXPECT_LT(first.size(), static_cast<size_t>(kRows));
   EXPECT_GE(first.size(), 128u);  // the checkpoint stride guarantees progress
-  EXPECT_GE(manager.stats().fetch_deadline_hits, 1u);
+  EXPECT_GE(metrics.GetCounter("omqe_fetch_deadline_hits_total")->Value(), 1u);
 
   // Draining to done collects every row exactly once: the deadline slices
   // the stream, it never drops or duplicates.
@@ -493,7 +498,8 @@ TEST(RobustnessTest, ZeroRowFetchDeadlineIsRetryableNotAnEmptySpin) {
   auto prepared = PreparedOMQ::Prepare(omq, w.db);
   ASSERT_TRUE(prepared.ok());
 
-  server::SessionManager manager;
+  metrics::Registry metrics;
+  server::SessionManager manager({}, &metrics);
   auto sid = manager.Open(*prepared, /*complete=*/false);
   ASSERT_TRUE(sid.ok());
 
@@ -506,8 +512,8 @@ TEST(RobustnessTest, ZeroRowFetchDeadlineIsRetryableNotAnEmptySpin) {
   EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s.ToString();
   EXPECT_TRUE(rows.empty());
   EXPECT_FALSE(done) << "an errored fetch must not report the cursor done";
-  EXPECT_EQ(manager.stats().fetch_deadline_hits, 1u);
-  EXPECT_EQ(manager.stats().fetch_deadline_empty, 1u);
+  EXPECT_EQ(metrics.GetCounter("omqe_fetch_deadline_hits_total")->Value(), 1u);
+  EXPECT_EQ(metrics.GetCounter("omqe_fetch_deadline_empty_total")->Value(), 1u);
 
   // The session is untouched: a retry with a sane deadline gets every row.
   done = false;
@@ -585,7 +591,10 @@ TEST(RobustnessTest, ZeroRowFetchDeadlineAnswersErrDeadlineOnTheWire) {
   }
   EXPECT_TRUE(saw_deadline_err)
       << "zero-row deadline fetch never surfaced ERR DEADLINE";
-  EXPECT_GE(manager.stats().fetch_deadline_empty, 1u);
+  EXPECT_GE(srv->metric_registry()
+                .GetCounter("omqe_fetch_deadline_empty_total")
+                ->Value(),
+            1u);
 }
 
 TEST(RobustnessTest, ClosedSessionTeardownIsEpochDeferredAndLockFree) {
@@ -673,7 +682,9 @@ TEST(RobustnessTest, ShutdownCancelsQueuedPrepareBeforeItChases) {
   // the second WITHOUT entering the chase at all. The heavy chase runs for
   // many seconds, so this bound fails if the queued PREPARE ever runs it.
   EXPECT_LT(elapsed_ms, 3000) << "queued PREPARE chased during drain";
-  EXPECT_EQ(w.srv->registry().stats().cancelled, 2u);
+  EXPECT_EQ(
+      w.srv->metric_registry().GetCounter("omqe_prepare_cancelled_total")->Value(),
+      2u);
   EXPECT_EQ(w.srv->registry().Get("heavy"), nullptr);
   EXPECT_EQ(w.srv->registry().Get("heavy2"), nullptr);
 }
@@ -841,9 +852,9 @@ TEST(RobustnessTest, OversizedLineAnswersBadReqAndCloses) {
   EXPECT_GE(w.srv->wire_stats().oversized_lines->Value(), 1u);
 
   // The server itself keeps serving new connections.
-  auto after = server::TcpExchange("127.0.0.1", tcp.port, "STATS\nQUIT\n");
+  auto after = server::TcpExchange("127.0.0.1", tcp.port, "METRICS\nQUIT\n");
   ASSERT_TRUE(after.ok());
-  EXPECT_NE(after->find("OK STATS"), std::string::npos) << *after;
+  EXPECT_NE(after->find("OK METRICS"), std::string::npos) << *after;
 }
 
 TEST(RobustnessTest, BinaryJunkAndPartialLinesOverTcp) {
@@ -856,11 +867,11 @@ TEST(RobustnessTest, BinaryJunkAndPartialLinesOverTcp) {
     std::string script;
     script += '\x01';
     script += '\xff';
-    script += "\x7f garbage \x02\nSTATS\nQUIT\n";
+    script += "\x7f garbage \x02\nMETRICS\nQUIT\n";
     auto r = server::TcpExchange("127.0.0.1", tcp.port, script);
     ASSERT_TRUE(r.ok());
     EXPECT_NE(r->find("ERR BADREQ"), std::string::npos) << *r;
-    EXPECT_NE(r->find("OK STATS"), std::string::npos) << *r;
+    EXPECT_NE(r->find("OK METRICS"), std::string::npos) << *r;
     EXPECT_NE(r->find("OK BYE"), std::string::npos) << *r;
   }
 
@@ -868,61 +879,23 @@ TEST(RobustnessTest, BinaryJunkAndPartialLinesOverTcp) {
   // one line: nothing executes until the '\n' arrives.
   {
     int fd = ConnectLoopback(tcp.port);
-    ASSERT_TRUE(SendRaw(fd, "STA"));
+    ASSERT_TRUE(SendRaw(fd, "MET"));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
-    ASSERT_TRUE(SendRaw(fd, "TS\nQU"));
+    ASSERT_TRUE(SendRaw(fd, "RICS\nQU"));
     std::this_thread::sleep_for(std::chrono::milliseconds(50));
     ASSERT_TRUE(SendRaw(fd, "IT\n"));
     ::shutdown(fd, SHUT_WR);
     std::string response = RecvAll(fd);
     ::close(fd);
-    EXPECT_NE(response.find("OK STATS"), std::string::npos) << response;
+    EXPECT_NE(response.find("OK METRICS"), std::string::npos) << response;
     EXPECT_NE(response.find("OK BYE"), std::string::npos) << response;
     EXPECT_EQ(response.find("ERR"), std::string::npos) << response;
   }
 }
 
 // ---------------------------------------------------------------------------
-// Overload shedding and the write timeout.
+// The write timeout.
 // ---------------------------------------------------------------------------
-
-TEST(RobustnessTest, OverloadShedsWithRetryableOverload) {
-  server::ServerOptions options;
-  options.threads = 1;
-  options.max_queue = 1;
-  OfficeServer w(options);
-  server::InProcessClient client(w.srv.get());
-
-  // Pin the single worker on a latch, wait until it has dequeued the job,
-  // then fill the one queue slot with a pending request. The next request
-  // must be shed at the door.
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  w.srv->pool().Submit([gate] { gate.wait(); });
-  while (w.srv->pool().pending() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  auto queued = std::async(std::launch::async,
-                           [&] { return client.Roundtrip("STATS"); });
-  while (w.srv->pool().pending() != 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-
-  std::string shed = client.Roundtrip("STATS");
-  ASSERT_TRUE(server::IsError(shed)) << shed;
-  server::ErrCode code;
-  ASSERT_TRUE(server::ParseErrCode(ResponseTerminator(shed), &code)) << shed;
-  EXPECT_EQ(code, server::ErrCode::kOverload) << shed;
-  EXPECT_TRUE(server::AnyRetryableError(shed)) << shed;
-  EXPECT_EQ(w.srv->wire_stats().shed_requests->Value(), 1u);
-
-  // Release the worker: the queued request completes untouched by the shed,
-  // and its STATS snapshot carries the shed counter.
-  release.set_value();
-  std::string ok = queued.get();
-  ASSERT_FALSE(server::IsError(ok)) << ok;
-  EXPECT_NE(ok.find("\"shed_requests\": 1"), std::string::npos) << ok;
-}
 
 TEST(RobustnessTest, WriteTimeoutClosesStalledReader) {
   constexpr int kRows = 8000;
@@ -959,9 +932,10 @@ TEST(RobustnessTest, WriteTimeoutClosesStalledReader) {
 
   // The connection thread was released (not pinned): a normal client is
   // served immediately afterwards.
-  auto after = server::TcpExchange("127.0.0.1", tcp.port, "STATS\nQUIT\n");
+  auto after = server::TcpExchange("127.0.0.1", tcp.port, "METRICS\nQUIT\n");
   ASSERT_TRUE(after.ok());
-  EXPECT_NE(after->find("\"write_timeout_closes\": 1"), std::string::npos)
+  EXPECT_NE(after->find("METRIC omqe_write_timeout_closes_total 1\n"),
+            std::string::npos)
       << *after;
 }
 

@@ -69,7 +69,6 @@ TEST(ProtocolTest, ParsesEveryVerb) {
   EXPECT_EQ(server::ParseRequest("RESET 3")->verb, server::Verb::kReset);
   EXPECT_EQ(server::ParseRequest("CLOSE 3")->verb, server::Verb::kClose);
   EXPECT_EQ(server::ParseRequest("EVICT offices")->verb, server::Verb::kEvict);
-  EXPECT_EQ(server::ParseRequest("STATS")->verb, server::Verb::kStats);
   EXPECT_EQ(server::ParseRequest("QUIT")->verb, server::Verb::kQuit);
   EXPECT_EQ(server::ParseRequest("SHUTDOWN")->verb, server::Verb::kShutdown);
 }
@@ -86,7 +85,8 @@ TEST(ProtocolTest, RejectsMalformedRequests) {
   EXPECT_FALSE(server::ParseRequest("FETCH 1 0").ok());
   EXPECT_FALSE(server::ParseRequest("FETCH one 5").ok());
   EXPECT_FALSE(server::ParseRequest("CLOSE").ok());
-  EXPECT_FALSE(server::ParseRequest("STATS now").ok());
+  EXPECT_FALSE(server::ParseRequest("QUIT now").ok());
+  EXPECT_FALSE(server::ParseRequest("STATS").ok());  // retired: METRICS
 }
 
 TEST(ProtocolTest, NumericTokensNeverWrap) {
@@ -155,30 +155,23 @@ TEST(ServerTest, ProtocolRoundTripsThroughInProcessClient) {
   EXPECT_EQ(ResponseRows(r).size(), 2u);
   EXPECT_EQ(ResponseTerminator(r), "OK FETCH 2 more");
 
-  r = client.Roundtrip("STATS");
-  EXPECT_NE(r.find("STAT {\"bench\": \"server\""), std::string::npos) << r;
-  EXPECT_NE(r.find("\"series\": \"registry\""), std::string::npos) << r;
-  // The robustness STAT line (PR 7) rides along: its counters are all zero
-  // on this healthy exchange, but the fields must be present so dashboards
-  // never learn about them only during an incident.
-  EXPECT_NE(r.find("STAT {\"bench\": \"server_robustness\""), std::string::npos)
-      << r;
-  EXPECT_NE(r.find("\"series\": \"robustness\""), std::string::npos) << r;
-  for (const char* field :
-       {"\"prepare_deadline_exceeded\": 0", "\"prepare_cancelled\": 0",
-        "\"fetch_deadline_hits\": 0", "\"shed_requests\": 0",
-        "\"write_timeout_closes\": 0", "\"oversized_lines\": 0",
-        "\"forced_closes\": 0", "\"faults_fired\": 0"}) {
-    EXPECT_NE(r.find(field), std::string::npos) << field << "\n" << r;
+  // The robustness counters are all zero on this healthy exchange, but
+  // METRICS lists them so dashboards never learn about them only during an
+  // incident.
+  r = client.Roundtrip("METRICS");
+  for (const char* metric :
+       {"omqe_prepare_deadline_exceeded_total 0",
+        "omqe_prepare_cancelled_total 0", "omqe_fetch_deadline_hits_total 0",
+        "omqe_fetch_deadline_empty_total 0",
+        "omqe_write_timeout_closes_total 0", "omqe_oversized_lines_total 0",
+        "omqe_forced_closes_total 0", "omqe_faults_fired 0"}) {
+    EXPECT_NE(r.find(std::string("METRIC ") + metric + "\n"),
+              std::string::npos)
+        << metric << "\n" << r;
   }
-  // STATS carries no chase line: the chase counters are METRICS only.
-  EXPECT_EQ(r.find("server_chase"), std::string::npos) << r;
-  EXPECT_EQ(ResponseTerminator(r), "OK STATS");
-
   // The chase counters (phase timings, candidate/apply totals), aggregated
   // over the successful PREPARE above — the chase ran, so the totals are
   // live, not zero.
-  r = client.Roundtrip("METRICS");
   for (const char* metric :
        {"omqe_chase_rounds_total ", "omqe_chase_candidates_total ",
         "omqe_chase_applied_total ", "omqe_chase_nulls_invented_total ",
@@ -354,7 +347,10 @@ TEST(ServerTest, RowBudgetExhaustsAndResetRestores) {
   r = client.Roundtrip("FETCH 1 100");
   EXPECT_EQ(ResponseRows(r).size(), 0u);
   EXPECT_EQ(ResponseTerminator(r), "OK FETCH 0 done");
-  EXPECT_GE(w.srv->sessions().stats().budget_exhausted, 1u);
+  EXPECT_GE(w.srv->metric_registry()
+                .GetCounter("omqe_budget_exhausted_total")
+                ->Value(),
+            1u);
 
   // Reset restores the budget along with the cursor.
   ASSERT_FALSE(server::IsError(client.Roundtrip("RESET 1")));
@@ -367,7 +363,8 @@ TEST(ServerTest, SessionLimitAndIdleReaping) {
   server::SessionLimits limits;
   limits.max_sessions = 2;
   limits.idle_timeout_ms = 1;
-  server::SessionManager manager(limits);
+  metrics::Registry metrics;
+  server::SessionManager manager(limits, &metrics);
 
   World w;
   Ontology onto = w.Onto("Researcher(x) -> exists y. HasOffice(x, y)");
@@ -379,7 +376,7 @@ TEST(ServerTest, SessionLimitAndIdleReaping) {
   ASSERT_TRUE(manager.Open(*prepared, /*complete=*/false).ok());
   ASSERT_TRUE(manager.Open(*prepared, /*complete=*/false).ok());
   EXPECT_FALSE(manager.Open(*prepared, /*complete=*/false).ok());
-  EXPECT_EQ(manager.stats().open_rejected, 1u);
+  EXPECT_EQ(metrics.GetCounter("omqe_open_rejected_total")->Value(), 1u);
   EXPECT_EQ(manager.live_sessions(), 2u);
 
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -390,7 +387,7 @@ TEST(ServerTest, SessionLimitAndIdleReaping) {
   EXPECT_EQ(manager.live_sessions(), 2u);
   EXPECT_EQ(manager.ReapIdle(), 2u);
   EXPECT_EQ(manager.live_sessions(), 0u);
-  EXPECT_EQ(manager.stats().reaped, 2u);
+  EXPECT_EQ(metrics.GetCounter("omqe_sessions_reaped_total")->Value(), 2u);
   // Reaped ids behave exactly like closed ones.
   std::vector<ValueTuple> rows;
   bool done = false;
@@ -445,7 +442,9 @@ TEST(ServerTest, BackgroundReaperClosesIdleSessions) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   EXPECT_EQ(w.srv->sessions().live_sessions(), 0u);
-  EXPECT_GE(w.srv->sessions().stats().reaped, 1u);
+  EXPECT_GE(
+      w.srv->metric_registry().GetCounter("omqe_sessions_reaped_total")->Value(),
+      1u);
   EXPECT_TRUE(server::IsError(client.Roundtrip("FETCH 1 1")));
 }
 
@@ -498,13 +497,11 @@ TEST(ServerTest, SessionOpenIsO1InProgressTreeCount) {
   }
 }
 
-// The tsan payload: many clients on the server's worker pool, mixing
-// PREPARE / OPEN / FETCH / RESET / CLOSE / EVICT / STATS over shared
+// The tsan payload: many client threads calling into one server, mixing
+// PREPARE / OPEN / FETCH / RESET / CLOSE / EVICT / METRICS over shared
 // registry and session-manager state.
 TEST(ServerTest, ThreadedSoakOverOneServer) {
-  server::ServerOptions options;
-  options.threads = 4;
-  OfficeServer w(options);
+  OfficeServer w;
   server::InProcessClient seed(w.srv.get());
   ASSERT_FALSE(server::IsError(
       seed.Roundtrip(std::string("PREPARE offices ") + kOfficeQuery)));
@@ -543,7 +540,7 @@ TEST(ServerTest, ThreadedSoakOverOneServer) {
         }
         if (rows != 3) ++failures[c];
         client.Roundtrip("RESET " + std::to_string(sid));
-        client.Roundtrip("STATS");
+        client.Roundtrip("METRICS");
         client.Roundtrip("CLOSE " + std::to_string(sid));
         client.Roundtrip("EVICT " + name);
       }
@@ -553,10 +550,12 @@ TEST(ServerTest, ThreadedSoakOverOneServer) {
   for (int c = 0; c < kClients; ++c) {
     EXPECT_EQ(failures[c], 0) << "client " << c;
   }
-  auto stats = w.srv->sessions().stats();
-  EXPECT_EQ(stats.opened, static_cast<uint64_t>(kClients * kRoundsPerClient));
-  EXPECT_EQ(stats.closed, stats.opened);
-  EXPECT_EQ(stats.rows, 3u * kClients * kRoundsPerClient);
+  metrics::Registry& m = w.srv->metric_registry();
+  const uint64_t opened = m.GetCounter("omqe_sessions_opened_total")->Value();
+  EXPECT_EQ(opened, static_cast<uint64_t>(kClients * kRoundsPerClient));
+  EXPECT_EQ(m.GetCounter("omqe_sessions_closed_total")->Value(), opened);
+  EXPECT_EQ(m.GetCounter("omqe_rows_emitted_total")->Value(),
+            3u * kClients * kRoundsPerClient);
 }
 
 TEST(ServerTest, FetchAndGetHotPathAcquiresZeroMutexes) {
@@ -618,7 +617,8 @@ TEST(ServerTest, RcuReadPathSoak32Threads) {
 
   server::SessionLimits limits;
   limits.idle_timeout_ms = 50;
-  server::SessionManager manager(limits);
+  metrics::Registry metrics;
+  server::SessionManager manager(limits, &metrics);
 
   constexpr int kThreads = 32;
   constexpr int kRounds = 12;
@@ -693,10 +693,11 @@ TEST(ServerTest, RcuReadPathSoak32Threads) {
 
   manager.CloseAll();
   EXPECT_EQ(manager.live_sessions(), 0u);
-  auto stats = manager.stats();
   // Every opened session ended exactly one way: explicit close, reap, or
   // the final CloseAll.
-  EXPECT_EQ(stats.opened, stats.closed + stats.reaped);
+  EXPECT_EQ(metrics.GetCounter("omqe_sessions_opened_total")->Value(),
+            metrics.GetCounter("omqe_sessions_closed_total")->Value() +
+                metrics.GetCounter("omqe_sessions_reaped_total")->Value());
   for (int t = 0; t < kThreads; ++t) {
     EXPECT_EQ(failures[t], 0) << "thread " << t;
   }
@@ -712,8 +713,10 @@ TEST(ServerTest, EstimatorRejectsExplodingOntologyBeforeChase) {
       "P(x) -> exists y1, y2, y3, y4. "
       "P(y1), P(y2), P(y3), P(y4), Q(x, y1)");
   w.Load("P(a)");
+  metrics::Registry metrics;
   server::RegistryOptions options;
   options.max_estimated_chase_facts = 1u << 16;
+  options.metrics = &metrics;
   server::QueryRegistry registry(&onto, &w.db, options);
   auto result = registry.Prepare(
       "boom", w.Query("q(x1, x2, x3, x4, x5, x6, x7, x8, x9) :- "
@@ -721,14 +724,56 @@ TEST(ServerTest, EstimatorRejectsExplodingOntologyBeforeChase) {
                       "Q(x5, x6), Q(x6, x7), Q(x7, x8), Q(x8, x9)"));
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_EQ(registry.stats().rejected_by_estimate, 1u);
+  EXPECT_EQ(
+      metrics.GetCounter("omqe_prepare_rejected_by_estimate_total")->Value(),
+      1u);
   EXPECT_EQ(registry.size(), 0u);
+}
+
+TEST(ServerTest, DeterministicPrepareRefusalsAreNotRetryable) {
+  // Both of PREPARE's budget refusals fail the same way on every resend,
+  // so the wire must not invite a retry: an ERR whose code the client's
+  // retry predicate rejects (BADREQ, not OVERLOAD).
+  auto expect_fatal = [](const std::string& r, const char* message) {
+    ASSERT_TRUE(server::IsError(r)) << r;
+    EXPECT_FALSE(server::AnyRetryableError(r)) << r;
+    EXPECT_EQ(r.rfind("ERR BADREQ ", 0), 0u) << r;
+    EXPECT_NE(r.find(message), std::string::npos) << r;
+  };
+  {
+    // The admission estimate: computed once for the environment, so every
+    // PREPARE against this 4x-branching ontology is refused.
+    World w;
+    Ontology onto = w.Onto(
+        "P(x) -> exists y1, y2, y3, y4. "
+        "P(y1), P(y2), P(y3), P(y4), Q(x, y1)");
+    w.Load("P(a)");
+    server::OmqeServer srv(&w.vocab, &onto, &w.db);
+    server::InProcessClient client(&srv);
+    for (int resend = 0; resend < 2; ++resend) {
+      expect_fatal(client.Roundtrip("PREPARE boom q(x, y) :- Q(x, y)"),
+                   "chase-size estimate exceeds the admission budget");
+    }
+  }
+  {
+    // The chase fact budget: the office chase builds 19 facts.
+    server::ServerOptions options;
+    options.registry.max_estimated_chase_facts = 0;
+    options.registry.prepare.chase.max_facts = 10;
+    OfficeServer w(options);
+    server::InProcessClient client(w.srv.get());
+    for (int resend = 0; resend < 2; ++resend) {
+      expect_fatal(
+          client.Roundtrip(std::string("PREPARE offices ") + kOfficeQuery),
+          "chase exceeded the fact budget");
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
 // The observability surface: METRICS / TRACE verbs, per-verb latency
 // histograms, the enumeration-delay histogram, and the no-drift contract
-// between the legacy STAT lines and the metric registry.
+// between the METRICS text and the metric registry.
 // ---------------------------------------------------------------------------
 
 TEST(ProtocolTest, ParsesMetricsAndTraceVerbs) {
@@ -842,15 +887,12 @@ TEST(ServerTest, TraceOnDumpOffRoundTrip) {
   EXPECT_EQ(after.find("SPAN RESET"), std::string::npos) << after;
 }
 
-TEST(ServerTest, StatLinesAgreeWithRegistryMetrics) {
-  // The no-drift contract: the legacy STAT lines are views over the metric
-  // registry, so after a mixed workload (prepare / failing open / fetch /
-  // reset / evict / shed) every STAT field must equal the corresponding
-  // registry metric — byte-for-byte in the rendered JSON.
-  server::ServerOptions options;
-  options.threads = 1;
-  options.max_queue = 1;
-  OfficeServer w(options);
+TEST(ServerTest, MetricsTextAgreesWithRegistryCounters) {
+  // The no-drift contract: METRICS renders the registry's own cells, so
+  // after a mixed workload (prepare / failing open / fetch / reset / evict)
+  // every counter and gauge the retired STATS verb carried reads the same
+  // in the METRICS text as in the registry.
+  OfficeServer w;
   server::InProcessClient client(w.srv.get());
 
   ASSERT_FALSE(server::IsError(
@@ -863,72 +905,45 @@ TEST(ServerTest, StatLinesAgreeWithRegistryMetrics) {
   EXPECT_TRUE(server::IsError(client.Roundtrip("OPEN absent")));  // miss
   ASSERT_FALSE(server::IsError(client.Roundtrip("EVICT offices")));
 
-  // One genuine shed: pin the single worker, fill the one queue slot, and
-  // let the next request bounce off the door (robustness_test's gate).
-  std::promise<void> release;
-  std::shared_future<void> gate = release.get_future().share();
-  w.srv->pool().Submit([gate] { gate.wait(); });
-  while (w.srv->pool().pending() != 0) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  auto queued = std::async(std::launch::async,
-                           [&] { return client.Roundtrip("STATS"); });
-  while (w.srv->pool().pending() != 1) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(server::IsError(client.Roundtrip("STATS")));  // shed
-  release.set_value();
-  ASSERT_FALSE(server::IsError(queued.get()));
-
-  std::string r = client.Roundtrip("STATS");
-  ASSERT_EQ(ResponseTerminator(r), "OK STATS");
+  const std::string r = client.Roundtrip("METRICS");
+  ASSERT_EQ(ResponseTerminator(r), "OK METRICS");
   metrics::Registry& m = w.srv->metric_registry();
-  auto expect_field = [&](const char* field, uint64_t v) {
+  auto expect_line = [&](const char* name, int64_t v) {
     const std::string needle =
-        std::string("\"") + field + "\": " + std::to_string(v);
-    EXPECT_NE(r.find(needle), std::string::npos) << needle << "\n" << r;
+        std::string("METRIC ") + name + " " + std::to_string(v) + "\n";
+    EXPECT_NE(r.find(needle), std::string::npos) << needle << r;
   };
   auto counter = [&](const char* name) {
     return m.GetCounter(name)->Value();
   };
-  // Sessions STAT line vs the session-manager counters.
-  expect_field("opened", counter("omqe_sessions_opened_total"));
-  expect_field("closed", counter("omqe_sessions_closed_total"));
-  expect_field("fetch_calls", counter("omqe_fetch_calls_total"));
-  expect_field("rows", counter("omqe_rows_emitted_total"));
-  expect_field("resets", counter("omqe_session_resets_total"));
-  expect_field("open_rejected", counter("omqe_open_rejected_total"));
-  // Registry STAT line vs the registry counters.
-  expect_field("prepares", counter("omqe_prepares_total"));
-  expect_field("prepare_failures", counter("omqe_prepare_failures_total"));
-  expect_field("evictions", counter("omqe_evictions_total"));
-  expect_field("hits", counter("omqe_registry_hits_total"));
-  expect_field("misses", counter("omqe_registry_misses_total"));
-  // Robustness STAT line vs the wire counters (the shed really happened).
-  EXPECT_EQ(counter("omqe_shed_requests_total"), 1u);
-  expect_field("shed_requests", counter("omqe_shed_requests_total"));
-  expect_field("write_timeout_closes",
-               counter("omqe_write_timeout_closes_total"));
-  expect_field("oversized_lines", counter("omqe_oversized_lines_total"));
-  expect_field("forced_closes", counter("omqe_forced_closes_total"));
-  expect_field("prepare_deadline_exceeded",
-               counter("omqe_prepare_deadline_exceeded_total"));
-  expect_field("prepare_cancelled", counter("omqe_prepare_cancelled_total"));
-  expect_field("fetch_deadline_hits",
-               counter("omqe_fetch_deadline_hits_total"));
-  // The chase counters are METRICS only (live after the PREPARE): the
-  // METRICS rendering carries the registry values.
-  EXPECT_GT(counter("omqe_chase_rounds_total"), 0u);
-  const std::string metrics_text = client.Roundtrip("METRICS");
-  for (const char* name :
-       {"omqe_chase_rounds_total", "omqe_chase_candidates_total",
-        "omqe_chase_applied_total", "omqe_chase_nulls_invented_total",
-        "omqe_chase_match_nanos_total", "omqe_chase_apply_nanos_total"}) {
-    const std::string needle = std::string("METRIC ") + name + " " +
-                               std::to_string(counter(name)) + "\n";
-    EXPECT_NE(metrics_text.find(needle), std::string::npos)
-        << needle << metrics_text;
+  for (const char* name : {
+           // Session manager.
+           "omqe_sessions_opened_total", "omqe_sessions_closed_total",
+           "omqe_sessions_reaped_total", "omqe_fetch_calls_total",
+           "omqe_rows_emitted_total", "omqe_session_resets_total",
+           "omqe_budget_exhausted_total", "omqe_open_rejected_total",
+           "omqe_fetch_deadline_hits_total", "omqe_fetch_deadline_empty_total",
+           // Registry.
+           "omqe_prepares_total", "omqe_prepare_failures_total",
+           "omqe_prepare_rejected_by_estimate_total", "omqe_evictions_total",
+           "omqe_registry_hits_total", "omqe_registry_misses_total",
+           "omqe_prepare_deadline_exceeded_total",
+           "omqe_prepare_cancelled_total",
+           // Wire.
+           "omqe_write_timeout_closes_total", "omqe_oversized_lines_total",
+           "omqe_forced_closes_total",
+           // Chase, aggregated over the PREPARE.
+           "omqe_chase_rounds_total", "omqe_chase_candidates_total",
+           "omqe_chase_applied_total", "omqe_chase_nulls_invented_total",
+           "omqe_chase_match_nanos_total", "omqe_chase_apply_nanos_total",
+       }) {
+    expect_line(name, static_cast<int64_t>(counter(name)));
   }
+  for (const char* name :
+       {"omqe_sessions_live", "omqe_registry_size", "omqe_faults_fired"}) {
+    expect_line(name, m.GetGauge(name)->Value());
+  }
+  EXPECT_GT(counter("omqe_chase_rounds_total"), 0u);
 
   // Sanity on workload shape: exactly what the exchange above did.
   EXPECT_EQ(counter("omqe_prepares_total"), 1u);
@@ -952,12 +967,20 @@ TEST(ServerTest, TcpTransportServesAndShutsDown) {
   uint16_t port = port_future.get();
   ASSERT_NE(port, 0);
 
+  // STATS is retired: it answers like any unknown verb, and the next line
+  // on the same connection is served as usual.
   auto response = server::TcpExchange(
       "127.0.0.1", port,
       std::string("PREPARE offices ") + kOfficeQuery +
-          "\nOPEN offices\nFETCH 1 10\nCLOSE 1\nSHUTDOWN\n");
+          "\nOPEN offices\nFETCH 1 10\nCLOSE 1\nSTATS\nMETRICS\nSHUTDOWN\n");
   ASSERT_TRUE(response.ok()) << response.status().ToString();
   EXPECT_EQ(ResponseRows(*response).size(), 3u) << *response;
+  const size_t stats = response->find("\nERR BADREQ unknown verb 'STATS'");
+  EXPECT_NE(stats, std::string::npos) << *response;
+  const size_t metrics = response->find("\nOK METRICS\n", stats);
+  EXPECT_NE(metrics, std::string::npos) << *response;
+  EXPECT_EQ(response->find("\nERR", stats + 1), std::string::npos)
+      << *response;
   EXPECT_NE(response->find("OK SHUTDOWN"), std::string::npos);
   serving.join();
   EXPECT_TRUE(w.srv->shutdown_requested());
