@@ -10,11 +10,10 @@
 //   S3 (fetch latency): per-FETCH-roundtrip delay profile (p50/p95), one
 //      answer per request.
 //   S6 (scaled fetch): 1/8/32/64 threads, each over its own session of ONE
-//      prepared query, hammering the lock-free read path directly (registry
-//      Get + session fetch, no protocol framing) — per-fetch cost should
-//      stay near-flat as threads scale (re-measure on multi-core hardware;
-//      the CI container is single-core so scaling there shows fairness,
-//      not parallel speedup).
+//      prepared query, driving the read path directly (registry Get +
+//      session fetch, no protocol framing) — both lookups take one shared
+//      lock each, so the series shows what that lock costs as threads
+//      scale.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -215,7 +214,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "S6: scaled fetch over the lock-free read path (per-thread sessions)",
+      "S6: scaled fetch over the locked read path (per-thread sessions)",
       "threads   fetches   wall_ms   fetch_per_s");
   {
     const uint32_t kFetchesPerThread = smoke ? 200 : 2000;
@@ -229,11 +228,11 @@ int main(int argc, char** argv) {
       return 1;
     }
     for (uint32_t threads : {1u, 8u, 32u, 64u}) {
-      // Every fetch rides the RCU path exactly as a connection would: a
-      // registry Get (epoch pin + snapshot load) then a SessionManager
-      // fetch (lock-free table probe + the per-session spinlock). No
-      // mutex is acquired anywhere in the loop — the point of the series
-      // is that per-fetch cost stays flat as threads scale.
+      // Every fetch takes the read path exactly as a connection would: a
+      // registry Get (one registry-lock lookup) then a SessionManager fetch
+      // (one manager-lock lookup, then the per-session mutex around the
+      // walk). All threads share the two lookup locks; the series shows
+      // whether that contention bends per-fetch cost as threads scale.
       std::vector<uint64_t> sids(threads, 0);
       for (uint32_t t = 0; t < threads; ++t) {
         auto sid = srv.sessions().Open(srv.registry().Get("q"),
@@ -276,7 +275,7 @@ int main(int argc, char** argv) {
   }
 
   bench::PrintHeader(
-      "S6obs: tracing overhead on the lock-free fetch path (8 threads)",
+      "S6obs: tracing overhead on the fetch path (8 threads)",
       "armed   wall_ms   fetch_per_s   overhead_pct");
   {
     // The S6 loop with tracing disarmed vs armed (armed adds a session.fetch

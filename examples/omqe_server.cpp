@@ -54,6 +54,11 @@ const char* kDemoData = R"(
   InBuilding(room1, main1)
 )";
 
+/// Ceiling of every millisecond flag: 10^12 ms (about 31.7 years). As
+/// nanoseconds that is 10^18, which leaves room below INT64_MAX (~9.2e18)
+/// for any steady-clock reading it is added to.
+constexpr uint64_t kMaxMillis = 1'000'000'000'000;
+
 std::string ReadFileOr(const char* path, const char* fallback) {
   if (path == nullptr) return fallback;
   auto text = ReadFileToString(path);
@@ -142,7 +147,7 @@ int main(int argc, char** argv) {
     };
     // Range-checked numeric flag: the protocol's strict ParseU64 plus a
     // ceiling, so an out-of-range value (--port=65537) is an error, never a
-    // wrapped port.
+    // wrapped port (or a millisecond flag past kMaxMillis).
     auto numeric = [&](const char* v, uint64_t max_value, uint64_t* out) {
       uint64_t parsed = 0;
       if (!server::ParseU64(v, &parsed) || parsed > max_value) {
@@ -167,15 +172,15 @@ int main(int argc, char** argv) {
       options.limits.max_sessions = static_cast<uint32_t>(numeric(v, UINT32_MAX, &n));
     } else if (const char* v = value("--idle-timeout-ms=")) {
       options.limits.idle_timeout_ms =
-          static_cast<int64_t>(numeric(v, INT64_MAX, &n));
+          static_cast<int64_t>(numeric(v, kMaxMillis, &n));
     } else if (const char* v = value("--prepare-deadline-ms=")) {
-      numeric(v, UINT64_MAX, &options.registry.prepare_deadline_ms);
+      numeric(v, kMaxMillis, &options.registry.prepare_deadline_ms);
     } else if (const char* v = value("--fetch-deadline-ms=")) {
-      numeric(v, UINT64_MAX, &options.limits.fetch_deadline_ms);
+      numeric(v, kMaxMillis, &options.limits.fetch_deadline_ms);
     } else if (const char* v = value("--write-timeout-ms=")) {
-      options.write_timeout_ms = static_cast<int64_t>(numeric(v, INT64_MAX, &n));
+      options.write_timeout_ms = static_cast<int64_t>(numeric(v, kMaxMillis, &n));
     } else if (const char* v = value("--drain-deadline-ms=")) {
-      options.drain_deadline_ms = static_cast<int64_t>(numeric(v, INT64_MAX, &n));
+      options.drain_deadline_ms = static_cast<int64_t>(numeric(v, kMaxMillis, &n));
     } else if (const char* v = value("--max-line-bytes=")) {
       options.max_line_bytes = static_cast<size_t>(numeric(v, UINT32_MAX, &n));
     } else if (const char* v = value("--retries=")) {
@@ -190,7 +195,7 @@ int main(int argc, char** argv) {
         return 2;
       }
     } else if (const char* v = value("--slow-request-ms=")) {
-      options.slow_request_ms = static_cast<int64_t>(numeric(v, INT64_MAX, &n));
+      options.slow_request_ms = static_cast<int64_t>(numeric(v, kMaxMillis, &n));
       // Arm tracing so slow-request lines carry the spans recorded during
       // the offending request (HandleLine dumps the current thread's ring).
       if (options.slow_request_ms > 0) trace::Enable();

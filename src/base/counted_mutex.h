@@ -1,13 +1,16 @@
 // std::mutex with a process-wide acquisition counter and a per-thread held
-// count. The server's writer-side locks (registry, session-table shards) are
-// CountedMutex so two properties become *testable* instead of aspirational:
+// count. The serving stack's locks (registry, session table) and the
+// metric and trace registries are CountedMutex so two properties become
+// *testable* instead of aspirational:
 //
-//   1. "The FETCH/Get hot path acquires zero mutexes" — server_test snapshots
-//      TotalAcquisitions(), drives the read path, and asserts the counter did
-//      not move.
-//   2. "Epoch retire callbacks never run under a lock" — reclamation sites
-//      assert HeldByThisThread() == 0 before sweeping, so a session/overlay/
-//      PreparedOMQ destructor can never stall concurrent writers.
+//   1. "Teardown never runs under a lock" — every site that drops a closed
+//      session or a displaced PreparedOMQ asserts HeldByThisThread() == 0
+//      first, so a session/overlay/artifact destructor can never stall
+//      concurrent requests.
+//   2. "Metric and trace record paths take no lock" — obs_test snapshots
+//      TotalAcquisitions(), records, and asserts the counter did not move;
+//      server_test uses the same counter to pin that a FETCH's lock count
+//      does not grow with its row count.
 //
 // The counters are relaxed atomics / thread-locals: nanoseconds on paths
 // that already pay for a mutex, nothing at all on paths that don't.

@@ -1,9 +1,8 @@
 // Lock-free metrics: named counters, gauges, and log2-bucketed histograms
 // behind a registry, recorded with relaxed atomics and per-thread striping so
 // the serving hot path (FETCH/Get) can tick counters and record latencies
-// without ever touching a mutex — the same discipline base/epoch.h gives the
-// read path, and pinned the same way (obs_test snapshots CountedMutex's
-// process-wide acquisition counter across a record loop).
+// without ever touching a mutex — pinned by obs_test, which snapshots
+// CountedMutex's process-wide acquisition counter across a record loop.
 //
 // Shape:
 //   - Counter: monotonic u64. Inc() is one relaxed fetch_add on the calling

@@ -5,8 +5,8 @@
 // literal (the ring stores the pointer, never copies). Recording when tracing
 // is disarmed is a single relaxed atomic load; armed, it is two NowNanos()
 // calls plus a seqlock-protected slot write in a thread-local ring — no mutex
-// either way, so spans can wrap the FETCH hot path without breaking the
-// zero-mutex pin.
+// either way, so spans can wrap the FETCH hot path without adding a lock per
+// answer.
 //
 // Dump() works concurrently with recording: each ring slot carries a seqlock
 // (odd while a writer is mid-update), and readers retry slots whose sequence
@@ -17,8 +17,8 @@
 // global list, and parked on a free list at thread exit for the next thread
 // to adopt — connection churn in the thread-per-connection server reuses
 // rings instead of leaking one per connection. Registration/adoption takes a
-// CountedMutex once per thread lifetime (covered by hot-path warm-up, same
-// as epoch slot registration).
+// CountedMutex once per thread lifetime (tests that count locks warm the
+// thread up first).
 #ifndef OMQE_BASE_TRACE_H_
 #define OMQE_BASE_TRACE_H_
 

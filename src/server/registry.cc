@@ -12,8 +12,7 @@ namespace omqe::server {
 
 QueryRegistry::QueryRegistry(const Ontology* onto, const Database* db,
                              RegistryOptions options)
-    : onto_(onto), db_(db), options_(std::move(options)),
-      snapshot_(new Snapshot) {
+    : onto_(onto), db_(db), options_(std::move(options)) {
   OMQE_CHECK(onto_ != nullptr && db_ != nullptr);
   if (options_.metrics == nullptr) {
     owned_metrics_ = std::make_unique<metrics::Registry>();
@@ -59,38 +58,26 @@ QueryRegistry::QueryRegistry(const Ontology* onto, const Database* db,
 }
 
 QueryRegistry::~QueryRegistry() {
-  // The gauge callback captures `this`; unbind before the snapshot dies so
-  // a metric registry that outlives us can still render safely.
+  // The gauge callback captures `this`; unbind it so a metric registry that
+  // outlives us can still render safely.
   m_.size->SetCallback(nullptr);
-  // Owner contract: no reader of this registry is live anymore. Drain our
-  // retired snapshots (no pinned readers -> everything pending reclaims),
-  // then free the current version directly.
-  EpochDomain::Global().ReclaimSweep();
-  delete snapshot_.load(std::memory_order_relaxed);
-}
-
-void QueryRegistry::PublishLocked(Snapshot* next) {
-  Snapshot* old = snapshot_.load(std::memory_order_relaxed);
-  // seq_cst store: the writer half of the Dekker handshake with readers'
-  // pin stores (see base/epoch.h). Retire only AFTER the swap makes the
-  // old version unreachable to new readers.
-  snapshot_.store(next, std::memory_order_seq_cst);
-  EpochDomain::Global().RetireDelete(old);
 }
 
 StatusOr<std::shared_ptr<const PreparedOMQ>> QueryRegistry::Prepare(
     const std::string& name, const CQ& query) {
-  auto result = PrepareLocked(name, query);
-  // Reclamation runs with every lock dropped: a retired snapshot's map may
-  // hold the last reference to a replaced PreparedOMQ, and its teardown
-  // must never stall readers or writers.
+  std::shared_ptr<const PreparedOMQ> displaced;
+  auto result = PrepareLocked(name, query, &displaced);
+  // A re-PREPARE may have displaced the last reference to the old artifact;
+  // its teardown runs here, with every lock dropped, so it never stalls
+  // readers or writers.
   OMQE_CHECK(CountedMutex::HeldByThisThread() == 0);
-  EpochDomain::Global().ReclaimSweep();
+  displaced.reset();
   return result;
 }
 
 StatusOr<std::shared_ptr<const PreparedOMQ>> QueryRegistry::PrepareLocked(
-    const std::string& name, const CQ& query) {
+    const std::string& name, const CQ& query,
+    std::shared_ptr<const PreparedOMQ>* displaced) {
   std::lock_guard<CountedMutex> prepare_lock(prepare_mu_);
   // Bugfix (shutdown/PREPARE race): a call that was parked on prepare_mu_
   // when BeginDrain() fired has no published token for CancelInFlight to
@@ -164,12 +151,9 @@ StatusOr<std::shared_ptr<const PreparedOMQ>> QueryRegistry::PrepareLocked(
     m_.chase_match_nanos->Inc(cs.match_nanos);
     m_.chase_apply_nanos->Inc(cs.apply_nanos);
     m_.chase_applied_rehashes->Inc(cs.applied_rehashes);
-    // Copy-on-write publish: readers mid-walk keep the old snapshot alive
-    // through their epoch pin; it is retired, not freed.
-    Snapshot* next =
-        new Snapshot(*snapshot_.load(std::memory_order_relaxed));
-    next->queries[name] = prepared.value();
-    PublishLocked(next);
+    std::shared_ptr<const PreparedOMQ>& slot = queries_[name];
+    *displaced = std::move(slot);
+    slot = prepared.value();
   }
   return std::move(prepared).value();
 }
@@ -191,37 +175,36 @@ void QueryRegistry::set_prepare_deadline_ms(uint64_t ms) {
 
 std::shared_ptr<const PreparedOMQ> QueryRegistry::Get(
     const std::string& name) const {
-  // Lock-free hot path: pin, walk the immutable snapshot, copy the
-  // shared_ptr out (the copy is what outlives the guard), unpin.
-  EpochGuard guard;
-  const Snapshot* snap = snapshot_.load(std::memory_order_seq_cst);
-  auto it = snap->queries.find(name);
-  if (it == snap->queries.end()) {
-    m_.misses->Inc();
-    return nullptr;
+  std::shared_ptr<const PreparedOMQ> found;
+  {
+    std::lock_guard<CountedMutex> lock(mu_);
+    auto it = queries_.find(name);
+    if (it != queries_.end()) found = it->second;
   }
-  m_.hits->Inc();
-  return it->second;
+  (found != nullptr ? m_.hits : m_.misses)->Inc();
+  return found;
 }
 
 bool QueryRegistry::Evict(const std::string& name) {
+  std::shared_ptr<const PreparedOMQ> displaced;
   {
     std::lock_guard<CountedMutex> lock(mu_);
-    Snapshot* cur = snapshot_.load(std::memory_order_relaxed);
-    if (cur->queries.find(name) == cur->queries.end()) return false;
-    Snapshot* next = new Snapshot(*cur);
-    next->queries.erase(name);
-    PublishLocked(next);
+    auto it = queries_.find(name);
+    if (it == queries_.end()) return false;
+    displaced = std::move(it->second);
+    queries_.erase(it);
     m_.evictions->Inc();
   }
+  // Live sessions keep their own references; if none remain, the artifact
+  // tears down here, outside the lock.
   OMQE_CHECK(CountedMutex::HeldByThisThread() == 0);
-  EpochDomain::Global().ReclaimSweep();
+  displaced.reset();
   return true;
 }
 
 size_t QueryRegistry::size() const {
-  EpochGuard guard;
-  return snapshot_.load(std::memory_order_seq_cst)->queries.size();
+  std::lock_guard<CountedMutex> lock(mu_);
+  return queries_.size();
 }
 
 }  // namespace omqe::server

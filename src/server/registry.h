@@ -10,16 +10,14 @@
 // keep the artifact alive through their refcount and drain normally (the
 // same shared-ownership contract core/prepared.h gives sessions).
 //
-// Read path (RCU): the name table is an immutable Snapshot behind an atomic
-// pointer. Get()/size() pin an EpochGuard, walk the snapshot, and
-// copy out the shared_ptr they need — no lock, no writer can stall them.
-// Writers (Prepare publish, Evict) copy-on-write a new Snapshot under mu_,
-// swap the pointer, Retire() the old version to the global epoch domain,
-// and sweep reclamation after dropping every lock. The shared_ptr refcount
-// still guards PreparedOMQ teardown; the epoch machinery only protects the
-// snapshot map itself.
+// Locking: the name table is one unordered_map guarded by mu_. Get() and
+// size() take mu_ for the lookup and copy out the shared_ptr they need; a
+// FETCH pays that one lookup per batch, never per answer. Writers (the
+// Prepare publish, Evict) move the displaced shared_ptr out under mu_ and
+// drop it only after every registry lock is released, so a PreparedOMQ
+// teardown (possibly the last reference) never runs under a lock.
 //
-// One caveat remains from the write side: the preprocessing phase reads AND
+// One caveat remains on the write side: the preprocessing phase reads AND
 // writes the environment's shared unfrozen Vocabulary (arity lookups on
 // every row, fresh relations during normalization), so callers that let
 // other threads read the vocabulary concurrently — e.g. to render rows —
@@ -38,7 +36,6 @@
 
 #include "base/cancel.h"
 #include "base/counted_mutex.h"
-#include "base/epoch.h"
 #include "base/metrics.h"
 #include "chase/estimate.h"
 #include "core/prepared.h"
@@ -78,13 +75,13 @@ class QueryRegistry {
   StatusOr<std::shared_ptr<const PreparedOMQ>> Prepare(const std::string& name,
                                                        const CQ& query);
 
-  /// The artifact for `name`, or nullptr when absent. Lock-free.
+  /// The artifact for `name`, or nullptr when absent. One mu_ lookup.
   std::shared_ptr<const PreparedOMQ> Get(const std::string& name) const;
 
   /// Removes `name`. Live sessions keep their reference. False if absent.
   bool Evict(const std::string& name);
 
-  size_t size() const;  ///< lock-free
+  size_t size() const;
 
   /// Requests cooperative cancellation of the Prepare currently running (if
   /// any): its CancelToken is flagged and it returns Cancelled at the next
@@ -103,22 +100,12 @@ class QueryRegistry {
   void set_prepare_deadline_ms(uint64_t ms);
 
  private:
-  /// One immutable published version of the name table. Readers walk it
-  /// under an EpochGuard; writers replace the whole map (tiny: names are
-  /// few, artifacts are shared_ptr-shared with the old version).
-  struct Snapshot {
-    std::unordered_map<std::string, std::shared_ptr<const PreparedOMQ>>
-        queries;
-  };
-
-  /// Publishes `next` (ownership transfers) and retires the displaced
-  /// version. Caller holds mu_.
-  void PublishLocked(Snapshot* next);
-
-  /// The serialized prepare body; Prepare() wraps it so the post-publish
-  /// reclamation sweep runs after prepare_mu_ is released.
+  /// The serialized prepare body. A re-PREPARE of a held name moves the
+  /// artifact it replaces into *displaced; Prepare() drops it after
+  /// prepare_mu_ and mu_ are both released.
   StatusOr<std::shared_ptr<const PreparedOMQ>> PrepareLocked(
-      const std::string& name, const CQ& query);
+      const std::string& name, const CQ& query,
+      std::shared_ptr<const PreparedOMQ>* displaced);
 
   const Ontology* onto_;
   const Database* db_;
@@ -129,11 +116,11 @@ class QueryRegistry {
   /// vocabulary lock and must stay short).
   ChaseEstimate admission_estimate_;
 
-  /// Writer-side locks are CountedMutex so server_test can assert the read
-  /// path never touches them.
+  /// CountedMutex so teardown sites can assert no lock is held.
   mutable CountedMutex mu_;
   CountedMutex prepare_mu_;  // serializes the (vocab-mutating) prepare phase
-  std::atomic<Snapshot*> snapshot_;
+  std::unordered_map<std::string, std::shared_ptr<const PreparedOMQ>>
+      queries_;  // guarded by mu_
   std::atomic<bool> draining_{false};
   /// Backing store when no external metric registry was injected.
   std::unique_ptr<metrics::Registry> owned_metrics_;
@@ -156,7 +143,7 @@ class QueryRegistry {
     metrics::Counter* chase_match_nanos;
     metrics::Counter* chase_apply_nanos;
     metrics::Counter* chase_applied_rehashes;
-    metrics::Gauge* size;  ///< callback view over the live snapshot
+    metrics::Gauge* size;  ///< callback view over size()
   };
   Counters m_;
   /// Token of the Prepare currently holding prepare_mu_ (guarded by mu_, so

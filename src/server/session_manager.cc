@@ -1,7 +1,5 @@
 #include "server/session_manager.h"
 
-#include <algorithm>
-
 #include "base/fault.h"
 #include "base/timer.h"
 #include "base/trace.h"
@@ -11,9 +9,6 @@ namespace omqe::server {
 SessionManager::SessionManager(SessionLimits limits,
                                metrics::Registry* metrics)
     : limits_(limits) {
-  for (Shard& shard : shards_) {
-    shard.table.store(new Table(kInitialCapacity), std::memory_order_relaxed);
-  }
   if (metrics == nullptr) {
     owned_metrics_ = std::make_unique<metrics::Registry>();
     metrics = owned_metrics_.get();
@@ -42,106 +37,14 @@ SessionManager::~SessionManager() {
   // The gauge callback captures `this`; unbind so a metric registry that
   // outlives the manager can still render safely.
   m_.live->SetCallback(nullptr);
-  // Owner contract: no reader thread outlives the manager. CloseAll retires
-  // every live Box; with no pinned readers the sweep reclaims everything
-  // pending (ours and anything else queued on the global domain).
   CloseAll();
-  EpochDomain::Global().ReclaimSweep();
-  for (Shard& shard : shards_) {
-    delete shard.table.load(std::memory_order_relaxed);
-  }
 }
 
 std::shared_ptr<SessionManager::Session> SessionManager::Lookup(
     uint64_t sid) const {
-  // The FETCH hot path: no mutex, ever. Pin an epoch, probe the published
-  // slot array, copy the shared_ptr out of the Box while pinned. All slot
-  // and table accesses are seq_cst — the reader half of the handshake that
-  // lets writers prove a retired Box/Table is unreachable (base/epoch.h).
-  EpochGuard guard;
-  const Shard& shard = shards_[ShardOf(sid)];
-  const Table* table = shard.table.load(std::memory_order_seq_cst);
-  size_t i = HashSid(sid) & table->mask;
-  for (size_t probes = 0; probes <= table->mask;
-       ++probes, i = (i + 1) & table->mask) {
-    const uint64_t tag = table->slots[i].tag.load(std::memory_order_seq_cst);
-    if (tag == 0) return nullptr;  // never-occupied slot: sid is absent
-    if (tag != sid) continue;      // tombstone or neighbor: keep probing
-    const Box* box = table->slots[i].box.load(std::memory_order_seq_cst);
-    // A null or mismatched Box means the slot was closed (and possibly
-    // recycled for a newer sid) between our tag and box loads; sids are
-    // never reused, so the session is definitively gone.
-    if (box == nullptr || box->sid != sid) return nullptr;
-    return box->session;
-  }
-  return nullptr;
-}
-
-void SessionManager::InsertLocked(Shard& shard, uint64_t sid,
-                                  std::shared_ptr<Session> s) {
-  Table* table = shard.table.load(std::memory_order_relaxed);
-  if ((shard.filled + 1) * 2 > table->capacity) {
-    // Rehash: clears tombstones, doubles only if live occupancy demands it.
-    size_t cap = table->capacity;
-    if ((shard.live + 1) * 2 > cap) cap *= 2;
-    Table* bigger = new Table(cap);
-    for (size_t i = 0; i < table->capacity; ++i) {
-      const uint64_t tag = table->slots[i].tag.load(std::memory_order_relaxed);
-      if (tag == 0 || tag == kTombstone) continue;
-      Box* box = table->slots[i].box.load(std::memory_order_relaxed);
-      size_t j = HashSid(tag) & bigger->mask;
-      while (bigger->slots[j].tag.load(std::memory_order_relaxed) != 0) {
-        j = (j + 1) & bigger->mask;
-      }
-      // New table is unreachable until published: plain-order stores, but
-      // box-before-tag so the publish exposes only complete slots.
-      bigger->slots[j].box.store(box, std::memory_order_relaxed);
-      bigger->slots[j].tag.store(tag, std::memory_order_relaxed);
-    }
-    shard.filled = shard.live;
-    shard.table.store(bigger, std::memory_order_seq_cst);
-    // Boxes moved over; only the outgrown slot array is retired.
-    EpochDomain::Global().RetireDelete(table);
-    table = bigger;
-  }
-  size_t i = HashSid(sid) & table->mask;
-  for (;;) {
-    const uint64_t tag = table->slots[i].tag.load(std::memory_order_relaxed);
-    if (tag == 0 || tag == kTombstone) {
-      if (tag == 0) ++shard.filled;
-      // Box first, tag second (both seq_cst): a reader that observes the
-      // sid tag is guaranteed to observe the Box behind it.
-      table->slots[i].box.store(new Box{sid, std::move(s)},
-                                std::memory_order_seq_cst);
-      table->slots[i].tag.store(sid, std::memory_order_seq_cst);
-      ++shard.live;
-      return;
-    }
-    i = (i + 1) & table->mask;
-  }
-}
-
-bool SessionManager::EraseLocked(Shard& shard, uint64_t sid) {
-  Table* table = shard.table.load(std::memory_order_relaxed);
-  size_t i = HashSid(sid) & table->mask;
-  for (size_t probes = 0; probes <= table->mask;
-       ++probes, i = (i + 1) & table->mask) {
-    const uint64_t tag = table->slots[i].tag.load(std::memory_order_relaxed);
-    if (tag == 0) return false;
-    if (tag != sid) continue;
-    Box* box = table->slots[i].box.load(std::memory_order_relaxed);
-    // Unpublish (box first so a racing reader that still sees the sid tag
-    // finds null and reports absent), then retire: the Box carries the
-    // (possibly final) session reference into the epoch sweep, so session
-    // teardown can only ever run outside every lock.
-    table->slots[i].box.store(nullptr, std::memory_order_seq_cst);
-    table->slots[i].tag.store(kTombstone, std::memory_order_seq_cst);
-    EpochDomain::Global().RetireDelete(box);
-    --shard.live;
-    live_.fetch_sub(1, std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  std::lock_guard<CountedMutex> lock(mu_);
+  auto it = sessions_.find(sid);
+  return it == sessions_.end() ? nullptr : it->second;
 }
 
 StatusOr<uint64_t> SessionManager::Open(
@@ -172,16 +75,11 @@ StatusOr<uint64_t> SessionManager::Open(
   }
   session->last_used_ns = NowNanos();
   const uint64_t sid = next_sid_.fetch_add(1, std::memory_order_relaxed);
-  Shard& shard = shards_[ShardOf(sid)];
   {
-    std::lock_guard<CountedMutex> lock(shard.mu);
-    InsertLocked(shard, sid, std::move(session));
+    std::lock_guard<CountedMutex> lock(mu_);
+    sessions_.emplace(sid, std::move(session));
   }
   m_.opened->Inc();
-  // A growth rehash may have retired the old slot array; sweep with no
-  // locks held.
-  OMQE_CHECK(CountedMutex::HeldByThisThread() == 0);
-  EpochDomain::Global().ReclaimSweep();
   return sid;
 }
 
@@ -211,7 +109,7 @@ Status SessionManager::FetchWithDeadline(uint64_t sid, uint64_t n,
   bool budget_hit = false;
   bool deadline_hit = false;
   {
-    std::lock_guard<SpinLock> lock(session->mu);
+    std::lock_guard<std::mutex> lock(session->mu);
     // Stamp at start as well as end: a single fetch that outlasts the idle
     // timeout must not look idle to a concurrent ReapIdle.
     int64_t prev_ns = NowNanos();
@@ -238,7 +136,8 @@ Status SessionManager::FetchWithDeadline(uint64_t sid, uint64_t n,
       }
       // Per-answer enumeration delay — the constant-delay SLO itself. One
       // clock read plus a striped-histogram record per row, both lock-free
-      // (the zero-mutex pin in server_test covers this armed path).
+      // (server_test pins that a FETCH's lock count does not grow with its
+      // row count).
       const int64_t now_ns = NowNanos();
       m_.enum_delay->Record(static_cast<uint64_t>(now_ns - prev_ns));
       prev_ns = now_ns;
@@ -274,7 +173,7 @@ Status SessionManager::Reset(uint64_t sid) {
   std::shared_ptr<Session> session = Lookup(sid);
   if (session == nullptr) return Status::NotFound("unknown session");
   {
-    std::lock_guard<SpinLock> lock(session->mu);
+    std::lock_guard<std::mutex> lock(session->mu);
     if (session->partial != nullptr) {
       session->partial->Reset();
     } else {
@@ -289,69 +188,52 @@ Status SessionManager::Reset(uint64_t sid) {
 }
 
 Status SessionManager::Close(uint64_t sid) {
-  Shard& shard = shards_[ShardOf(sid)];
-  bool erased;
+  std::shared_ptr<Session> closed;
   {
-    std::lock_guard<CountedMutex> lock(shard.mu);
-    erased = EraseLocked(shard, sid);
+    std::lock_guard<CountedMutex> lock(mu_);
+    auto it = sessions_.find(sid);
+    if (it == sessions_.end()) return Status::NotFound("unknown session");
+    closed = std::move(it->second);
+    sessions_.erase(it);
   }
-  if (!erased) return Status::NotFound("unknown session");
+  live_.fetch_sub(1, std::memory_order_relaxed);
   m_.closed->Inc();
-  // Bugfix (teardown under the manager lock): the erased session is not
-  // destroyed here — its Box was retired. The sweep below (and any later
-  // sweep) runs the destructor with zero locks held, so a heavy overlay
-  // teardown can no longer stall concurrent Open/Lookup.
+  // Bugfix (teardown under the manager lock): the session — cursor, overlay
+  // and possibly the last artifact reference — is destroyed here, with
+  // zero locks held, so a heavy teardown never stalls Open/Lookup.
   OMQE_CHECK(CountedMutex::HeldByThisThread() == 0);
-  EpochDomain::Global().ReclaimSweep();
+  closed.reset();
   return Status::OK();
 }
 
 size_t SessionManager::CloseAll() {
-  size_t n = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<CountedMutex> lock(shard.mu);
-    Table* table = shard.table.load(std::memory_order_relaxed);
-    if (shard.live == 0 && shard.filled == 0) continue;
-    // Swap in a fresh empty table; retire the old array and every Box in
-    // it. Readers mid-probe keep the old version alive through their pins.
-    Table* empty = new Table(kInitialCapacity);
-    shard.table.store(empty, std::memory_order_seq_cst);
-    for (size_t i = 0; i < table->capacity; ++i) {
-      const uint64_t tag = table->slots[i].tag.load(std::memory_order_relaxed);
-      if (tag == 0 || tag == kTombstone) continue;
-      Box* box = table->slots[i].box.load(std::memory_order_relaxed);
-      EpochDomain::Global().RetireDelete(box);
-      ++n;
-    }
-    EpochDomain::Global().RetireDelete(table);
-    shard.live = 0;
-    shard.filled = 0;
+  std::unordered_map<uint64_t, std::shared_ptr<Session>> closed;
+  {
+    std::lock_guard<CountedMutex> lock(mu_);
+    closed.swap(sessions_);
   }
+  const size_t n = closed.size();
   live_.fetch_sub(n, std::memory_order_acq_rel);
   m_.closed->Inc(n);
   OMQE_CHECK(CountedMutex::HeldByThisThread() == 0);
-  EpochDomain::Global().ReclaimSweep();
+  closed.clear();
   return n;
 }
 
 size_t SessionManager::ReapIdle() {
   if (limits_.idle_timeout_ms <= 0) return 0;
   const int64_t cutoff = NowNanos() - limits_.idle_timeout_ms * 1'000'000;
-  size_t reaped = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<CountedMutex> lock(shard.mu);
-    Table* table = shard.table.load(std::memory_order_relaxed);
-    for (size_t i = 0; i < table->capacity; ++i) {
-      const uint64_t tag = table->slots[i].tag.load(std::memory_order_relaxed);
-      if (tag == 0 || tag == kTombstone) continue;
-      Box* box = table->slots[i].box.load(std::memory_order_relaxed);
-      Session& s = *box->session;
+  std::vector<std::shared_ptr<Session>> reaped;
+  {
+    std::lock_guard<CountedMutex> lock(mu_);
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      Session& s = *it->second;
       // A session whose lock is held is mid-fetch/reset — actively in use
       // no matter what its start-of-fetch timestamp says — so skip it (the
-      // try_lock is safe: cursor work never waits on shard locks).
-      // Otherwise a stale timestamp can only delay a reap by one cycle,
-      // and an in-flight fetch elsewhere keeps its shared_ptr, so erasing
-      // here never frees live state.
+      // try_lock is safe: cursor work never waits on mu_). Otherwise a
+      // stale timestamp can only delay a reap by one cycle, and an
+      // in-flight fetch elsewhere keeps its shared_ptr, so erasing here
+      // never frees live state.
       bool idle = false;
       if (s.mu.try_lock()) {
         idle = s.last_used_ns.load(std::memory_order_relaxed) < cutoff;
@@ -368,26 +250,26 @@ size_t SessionManager::ReapIdle() {
         s.mu.unlock();
       }
       if (idle) {
-        table->slots[i].box.store(nullptr, std::memory_order_seq_cst);
-        table->slots[i].tag.store(kTombstone, std::memory_order_seq_cst);
-        EpochDomain::Global().RetireDelete(box);
-        --shard.live;
-        live_.fetch_sub(1, std::memory_order_relaxed);
-        ++reaped;
+        reaped.push_back(std::move(it->second));
+        it = sessions_.erase(it);
+      } else {
+        ++it;
       }
     }
   }
-  m_.reaped->Inc(reaped);
-  // Reaped sessions tear down in the sweep, never under a shard lock.
+  const size_t n = reaped.size();
+  live_.fetch_sub(n, std::memory_order_relaxed);
+  m_.reaped->Inc(n);
+  // Reaped sessions tear down here, never under the manager lock.
   OMQE_CHECK(CountedMutex::HeldByThisThread() == 0);
-  EpochDomain::Global().ReclaimSweep();
-  return reaped;
+  reaped.clear();
+  return n;
 }
 
 StatusOr<LinkOverlay::Stats> SessionManager::OverlayStats(uint64_t sid) const {
   std::shared_ptr<Session> session = Lookup(sid);
   if (session == nullptr) return Status::NotFound("unknown session");
-  std::lock_guard<SpinLock> lock(session->mu);
+  std::lock_guard<std::mutex> lock(session->mu);
   if (session->partial == nullptr) {
     return Status::InvalidArgument("complete sessions have no link overlay");
   }

@@ -3,40 +3,35 @@
 //
 // A managed session wraps one EnumerationSession (partial answers) or
 // CompleteSession (complete answers) plus serving state: a per-session
-// row budget, a last-use timestamp for idle reaping, and a private spinlock
+// row budget, a last-use timestamp for idle reaping, and a private mutex
 // so two connections fetching on the same id serialize instead of racing.
 // Opening a session is O(1) — the core link overlay is copy-on-write, so
 // spin-up no longer scales with the prepared query's progress-tree count
 // (server_test asserts this through LinkOverlay::Stats).
 //
-// Concurrency (RCU read path): the sid -> session map is a sharded
-// open-addressed table of tagged slots. Lookup — and therefore every
-// Fetch/Reset/OverlayStats — pins an EpochGuard, probes the shard's
-// immutable-to-readers slot array, and copies the shared_ptr out of the
-// slot's Box without taking ANY mutex (server_test pins this with a
-// process-wide lock counter). Writers (Open/Close/ReapIdle/CloseAll) take a
-// per-shard CountedMutex, publish slot transitions with seq_cst stores, and
-// never free anything in place: displaced Boxes and outgrown slot arrays
-// are Retire()d to the global epoch domain and reclaimed only after every
-// pinned reader has moved on — which is also how session teardown
-// (a possibly last-ref overlay destructor) is kept out from under every
-// lock. Slot tags are the sid (live), 0 (never used — probe stops), or a
-// tombstone (closed — probe continues); sids are never reused, so a reader
-// that re-finds its tag but a Box with a different sid knows the slot was
-// recycled and the session is gone.
+// Concurrency: the sid -> session map is one unordered_map guarded by one
+// CountedMutex. Lookup — and therefore every Fetch/Reset/OverlayStats —
+// holds it just long enough to copy the session's shared_ptr out, then
+// steps the cursor under the session's own mutex: a FETCH takes one manager
+// lock per call, never one per answer (server_test pins this). Writers
+// (Open/Close/ReapIdle/CloseAll) change the map under the same lock. Closing
+// moves the session's reference out under the lock and drops it after the
+// lock is released, so a session destructor (possibly the last reference to
+// an overlay or a PreparedOMQ) never runs under a lock. Sids are never
+// reused.
 #ifndef OMQE_SERVER_SESSION_MANAGER_H_
 #define OMQE_SERVER_SESSION_MANAGER_H_
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <mutex>
+#include <unordered_map>
 #include <vector>
 
 #include "base/cancel.h"
 #include "base/counted_mutex.h"
-#include "base/epoch.h"
 #include "base/metrics.h"
-#include "base/spinlock.h"
 #include "core/prepared.h"
 
 namespace omqe::server {
@@ -115,11 +110,9 @@ class SessionManager {
 
  private:
   struct Session {
-    /// Spinlock, not std::mutex: the critical section is cursor stepping
-    /// (nanoseconds per row) and the common case is one client per session,
-    /// so parking in the kernel buys nothing and would put a mutex back on
-    /// the FETCH hot path.
-    SpinLock mu;
+    /// Serializes cursor stepping; ReapIdle's try_lock reads "held" as
+    /// "in use".
+    std::mutex mu;
     std::unique_ptr<EnumerationSession> partial;  // exactly one of the two
     std::unique_ptr<CompleteSession> complete;
     uint64_t rows_emitted = 0;  // guarded by mu
@@ -134,65 +127,17 @@ class SessionManager {
     bool reap_deferred = false;
   };
 
-  /// An immutable published (sid, session) pair. Readers copy the
-  /// shared_ptr out under their epoch pin; writers retire the whole Box on
-  /// close, so the (possibly final) session reference is dropped by the
-  /// epoch sweep, outside every lock.
-  struct Box {
-    uint64_t sid;
-    std::shared_ptr<Session> session;
-  };
-
-  /// Slot tags: 0 = never occupied (reader probes stop), kTombstone =
-  /// closed (probes continue), anything else = that sid.
-  static constexpr uint64_t kTombstone = UINT64_MAX;
-
-  struct Slot {
-    std::atomic<uint64_t> tag{0};
-    std::atomic<Box*> box{nullptr};
-  };
-
-  /// One published version of a shard's probe array. Boxes are NOT owned by
-  /// the table (growth carries them over); the table owns only the slots.
-  struct Table {
-    explicit Table(size_t cap)
-        : capacity(cap), mask(cap - 1), slots(new Slot[cap]) {}
-    size_t capacity;
-    size_t mask;
-    std::unique_ptr<Slot[]> slots;
-  };
-
-  static constexpr size_t kShards = 16;
-  static constexpr size_t kInitialCapacity = 16;  // per shard, power of two
-
-  struct alignas(64) Shard {
-    CountedMutex mu;  ///< writer lock: Open/Close/ReapIdle/CloseAll
-    std::atomic<Table*> table{nullptr};
-    size_t live = 0;    ///< slots tagged with a sid (guarded by mu)
-    size_t filled = 0;  ///< live + tombstones (guarded by mu)
-  };
-
-  static size_t ShardOf(uint64_t sid) { return sid & (kShards - 1); }
-  static size_t HashSid(uint64_t sid) {
-    uint64_t x = sid * 0x9E3779B97F4A7C15ull;
-    return static_cast<size_t>(x ^ (x >> 32));
-  }
-
-  /// Lock-free sid lookup (the FETCH hot path). Returns nullptr if absent.
+  /// The session for `sid`, or nullptr. Takes mu_ for the lookup only.
   std::shared_ptr<Session> Lookup(uint64_t sid) const;
-
-  /// Grows/rehashes the shard if an insert would push the load factor past
-  /// 1/2, then inserts. Caller holds shard.mu.
-  void InsertLocked(Shard& shard, uint64_t sid, std::shared_ptr<Session> s);
-
-  /// Tombstones `sid`'s slot and retires its Box. Caller holds shard.mu.
-  /// False if absent.
-  bool EraseLocked(Shard& shard, uint64_t sid);
 
   SessionLimits limits_;
   std::atomic<uint64_t> next_sid_{1};
+  /// Admission counter: sessions live plus opens past admission. Open
+  /// reserves here before inserting, so max_sessions is exact.
   std::atomic<uint64_t> live_{0};
-  Shard shards_[kShards];
+  mutable CountedMutex mu_;
+  std::unordered_map<uint64_t, std::shared_ptr<Session>>
+      sessions_;  // guarded by mu_
 
   /// Backing store when no external metric registry was injected.
   std::unique_ptr<metrics::Registry> owned_metrics_;

@@ -1,14 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "base/counted_mutex.h"
-#include "base/epoch.h"
-#include "base/spinlock.h"
 #include "base/flat_hash.h"
 #include "base/hash.h"
 #include "base/interner.h"
@@ -434,138 +431,6 @@ TEST(WorldLoadTest, MultipleFactsAcrossWhitespaceAndNewlines) {
   EXPECT_EQ(w.db.TotalFacts(), 4u);
 }
 
-// ---- Epoch-based reclamation (base/epoch.h) ----
-
-namespace epoch_testing {
-/// A retire payload that flips a flag on destruction so tests can observe
-/// exactly when reclamation ran.
-struct Tracked {
-  explicit Tracked(int* live) : live(live) { ++*live; }
-  ~Tracked() { --*live; }
-  int* live;
-};
-void DeleteTracked(void* p) { delete static_cast<Tracked*>(p); }
-}  // namespace epoch_testing
-
-TEST(EpochTest, RetireWithNoReadersReclaimsOnSweep) {
-  EpochDomain domain;
-  int live = 0;
-  domain.Retire(new epoch_testing::Tracked(&live),
-                epoch_testing::DeleteTracked);
-  EXPECT_EQ(live, 1);
-  EXPECT_EQ(domain.pending(), 1u);
-  EXPECT_EQ(domain.ReclaimSweep(), 1u);
-  EXPECT_EQ(live, 0);
-  EXPECT_EQ(domain.pending(), 0u);
-  EpochDomain::Stats s = domain.stats();
-  EXPECT_EQ(s.retired, 1u);
-  EXPECT_EQ(s.reclaimed, 1u);
-}
-
-TEST(EpochTest, PinnedReaderHoldsRetiredObjectsBack) {
-  EpochDomain domain;
-  int live = 0;
-  {
-    EpochGuard guard(domain);
-    domain.Retire(new epoch_testing::Tracked(&live),
-                  epoch_testing::DeleteTracked);
-    domain.ReclaimSweep();
-    domain.ReclaimSweep();
-    EXPECT_EQ(live, 1) << "reclaimed under a pinned reader";
-    EXPECT_EQ(domain.pending(), 1u);
-  }
-  EXPECT_EQ(domain.ReclaimSweep(), 1u);
-  EXPECT_EQ(live, 0);
-}
-
-TEST(EpochTest, NestedGuardsPinOnceAndUnpinLast) {
-  EpochDomain domain;
-  int live = 0;
-  {
-    EpochGuard outer(domain);
-    {
-      EpochGuard inner(domain);
-      EpochGuard inner2(domain);
-    }
-    // The inner guards are gone but the outer one still pins: a retire now
-    // must stay pending.
-    domain.Retire(new epoch_testing::Tracked(&live),
-                  epoch_testing::DeleteTracked);
-    domain.ReclaimSweep();
-    EXPECT_EQ(live, 1);
-  }
-  domain.ReclaimSweep();
-  EXPECT_EQ(live, 0);
-  EXPECT_EQ(domain.stats().pins, 1u) << "nested guards must not re-pin";
-}
-
-TEST(EpochTest, ThreadExitReleasesItsSlot) {
-  EpochDomain domain;
-  std::thread t([&domain] { EpochGuard guard(domain); });
-  t.join();
-  EpochDomain::Stats s = domain.stats();
-  EXPECT_EQ(s.slots_in_use, 0u);
-  EXPECT_EQ(s.pins, 1u);
-}
-
-TEST(EpochTest, DomainDestructorRunsLeftoverRetires) {
-  int live = 0;
-  {
-    EpochDomain domain;
-    domain.Retire(new epoch_testing::Tracked(&live),
-                  epoch_testing::DeleteTracked);
-    EXPECT_EQ(live, 1);
-  }
-  EXPECT_EQ(live, 0);
-}
-
-TEST(EpochTest, ConcurrentReadersAndWriterReclaimSafely) {
-  // An RCU-published pointer hammered by readers while the writer swaps and
-  // retires versions. The assertions are mostly implicit: under ASan/TSan
-  // (both CI jobs run this suite) any premature reclaim is a use-after-free
-  // and any missing ordering is a race.
-  EpochDomain domain;
-  struct Node {
-    uint64_t value;
-  };
-  std::atomic<Node*> head{new Node{0}};
-  std::atomic<bool> stop{false};
-  const int kReaders = 4;
-  std::vector<std::thread> readers;
-  readers.reserve(kReaders);
-  for (int r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&domain, &head, &stop] {
-      uint64_t last = 0;
-      while (!stop.load(std::memory_order_acquire)) {
-        EpochGuard guard(domain);
-        Node* n = head.load(std::memory_order_seq_cst);
-        ASSERT_GE(n->value, last) << "published values must be monotonic";
-        last = n->value;
-      }
-    });
-  }
-  for (uint64_t i = 1; i <= 2000; ++i) {
-    Node* fresh = new Node{i};
-    Node* old = head.exchange(fresh, std::memory_order_seq_cst);
-    domain.RetireDelete(old);
-    if ((i & 15) == 0) domain.ReclaimSweep();
-  }
-  stop.store(true, std::memory_order_release);
-  for (auto& t : readers) t.join();
-  // Readers are gone (their slots released at thread exit), so a bounded
-  // number of sweeps drains everything.
-  while (domain.pending() > 0) domain.ReclaimSweep();
-  delete head.load(std::memory_order_relaxed);
-  EpochDomain::Stats s = domain.stats();
-  EXPECT_EQ(s.retired, 2000u);
-  EXPECT_EQ(s.reclaimed, 2000u);
-  EXPECT_EQ(s.slots_in_use, 0u);
-}
-
-TEST(EpochTest, GlobalDomainIsOneSharedInstance) {
-  EXPECT_EQ(&EpochDomain::Global(), &EpochDomain::Global());
-}
-
 TEST(CountedMutexTest, CountsAcquisitionsAndPerThreadHeld) {
   CountedMutex mu;
   const uint64_t before = CountedMutex::TotalAcquisitions();
@@ -591,25 +456,6 @@ TEST(CountedMutexTest, HeldCountIsPerThread) {
   t.join();
   EXPECT_EQ(seen_on_other_thread, 0u);
   EXPECT_EQ(CountedMutex::HeldByThisThread(), 1u);
-}
-
-TEST(SpinLockTest, MutualExclusionAcrossThreads) {
-  SpinLock mu;
-  uint64_t counter = 0;
-  std::vector<std::thread> threads;
-  for (int i = 0; i < 4; ++i) {
-    threads.emplace_back([&mu, &counter] {
-      for (int k = 0; k < 10000; ++k) {
-        std::lock_guard<SpinLock> lock(mu);
-        ++counter;
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(counter, 40000u);
-  EXPECT_TRUE(mu.try_lock());
-  EXPECT_FALSE(mu.try_lock());
-  mu.unlock();
 }
 
 }  // namespace

@@ -4,9 +4,9 @@
 // The load-bearing assertions are the concurrency ones: recording a
 // counter/histogram while another thread renders, and recording spans while
 // another thread dumps, must be race-free (the tsan CI job runs this suite)
-// — and the record paths must acquire ZERO mutexes, pinned the same way the
-// serving read path is: by snapshotting CountedMutex's process-wide
-// acquisition counter around the loop.
+// — and the record paths must acquire ZERO mutexes, pinned by snapshotting
+// CountedMutex's process-wide acquisition counter around the loop (FETCH
+// records once per answer, so a lock here would be a lock per answer).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -192,7 +192,7 @@ TEST(MetricsTest, RenderBenchJsonIsValidAndEscaped) {
 
 // ---------------------------------------------------------------------------
 // The zero-mutex pin: recording counters and histogram samples — the exact
-// operations the FETCH/Get hot path performs with metrics armed — must not
+// operations FETCH performs per answer and Get per call — must not
 // acquire a single CountedMutex. Registration (GetCounter etc.) and the
 // thread's stripe assignment happen in the warm-up, outside the window,
 // mirroring how the server caches handles at construction.

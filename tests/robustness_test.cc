@@ -7,6 +7,8 @@
 //     cross-thread Cancel (the ASan/TSan payload for the token plumbing);
 //   - fetch deadlines return partial batches without ever losing or
 //     duplicating rows;
+//   - closing a session or displacing a prepared artifact tears it down
+//     before the call returns, on a thread holding no lock;
 //   - the fault-injection sweep drives every declared point and checks the
 //     differential oracle: each request either completes correctly or fails
 //     with a clean error — never a silently truncated success;
@@ -32,7 +34,7 @@
 #include <vector>
 
 #include "base/cancel.h"
-#include "base/epoch.h"
+#include "base/counted_mutex.h"
 #include "base/fault.h"
 #include "base/timer.h"
 #include "chase/chase.h"
@@ -564,7 +566,7 @@ TEST(RobustnessTest, ZeroRowFetchDeadlineAnswersErrDeadlineOnTheWire) {
       std::vector<ValueTuple> sink;
       bool hdone = false;
       holder_started.store(true, std::memory_order_release);
-      // Holds the session spinlock for the whole six-figure enumeration.
+      // Holds the session lock for the whole six-figure enumeration.
       manager.FetchWithDeadline(sid, kRows, Deadline::Never(), &sink, &hdone);
     });
     while (!holder_started.load(std::memory_order_acquire)) {
@@ -597,52 +599,125 @@ TEST(RobustnessTest, ZeroRowFetchDeadlineAnswersErrDeadlineOnTheWire) {
             1u);
 }
 
-TEST(RobustnessTest, ClosedSessionTeardownIsEpochDeferredAndLockFree) {
-  // Bugfix regression: Close/CloseAll/ReapIdle used to destroy the (possibly
-  // last-ref) session — cursor, overlay and all — while holding the manager
-  // mutex, stalling every concurrent Open/Lookup behind an arbitrarily
-  // expensive destructor. Now the slot's Box is epoch-retired: a pinned
-  // reader provably delays the teardown (observed through a weak_ptr on the
-  // artifact the session keeps alive), and when the teardown does run, a
-  // CountedMutex assertion inside the sweep enforces that zero locks are
-  // held.
+// ---------------------------------------------------------------------------
+// Teardown outside every lock. Closing a session or displacing a prepared
+// artifact may drop the last reference to an arbitrarily expensive object
+// (cursor, link overlay, chase result). Each such drop must have happened
+// by the time the call returns, and on a thread holding no CountedMutex, so
+// it never stalls concurrent Open/Lookup/Get.
+// ---------------------------------------------------------------------------
+
+/// Watches one PreparedOMQ's teardown through a weak_ptr, and records how
+/// many CountedMutex locks the thread that dropped its last reference held.
+struct TeardownProbe {
+  std::weak_ptr<const PreparedOMQ> artifact;
+  std::shared_ptr<int> locks_held = std::make_shared<int>(-1);  // -1: not yet
+
+  /// Returns the only strong reference to `prepared`; dropping its last copy
+  /// records locks_held and frees the artifact.
+  std::shared_ptr<const PreparedOMQ> Track(
+      std::shared_ptr<const PreparedOMQ> prepared) {
+    artifact = prepared;
+    const PreparedOMQ* raw = prepared.get();
+    return std::shared_ptr<const PreparedOMQ>(
+        raw, [prepared = std::move(prepared),
+              held = locks_held](const PreparedOMQ*) mutable {
+          *held = static_cast<int>(CountedMutex::HeldByThisThread());
+          prepared.reset();
+        });
+  }
+};
+
+/// One tracked partial-mode artifact over a one-fact environment.
+struct TeardownEnv : World {
+  Ontology onto = Onto("HasOffice(x, y) -> Office(y)");
+  TeardownProbe probe;
+  std::shared_ptr<const PreparedOMQ> tracked;
+
+  TeardownEnv() {
+    Load("HasOffice(mary, room1)");
+    auto prepared = PreparedOMQ::Prepare(
+        MakeOMQ(onto, Query("q(x, y) :- HasOffice(x, y)")), db);
+    EXPECT_TRUE(prepared.ok());
+    if (prepared.ok()) tracked = probe.Track(std::move(prepared).value());
+  }
+};
+
+TEST(RobustnessTest, ClosedSessionIsTornDownByCloseOutsideEveryLock) {
+  // Bugfix regression: Close used to destroy the (possibly last-ref)
+  // session while holding the manager mutex, stalling every concurrent
+  // Open/Lookup behind the destructor. Close now moves the reference out
+  // under the lock and drops it after releasing it.
+  TeardownEnv env;
+  ASSERT_NE(env.tracked, nullptr);
+  server::SessionManager manager;
+  auto sid = manager.Open(std::move(env.tracked), /*complete=*/false);
+  ASSERT_TRUE(sid.ok());
+  // The session's cursor now holds the only reference behind the probe.
+  ASSERT_FALSE(env.probe.artifact.expired());
+  ASSERT_TRUE(manager.Close(*sid).ok());
+  EXPECT_TRUE(env.probe.artifact.expired()) << "Close left the session alive";
+  EXPECT_EQ(*env.probe.locks_held, 0) << "session torn down under a lock";
+  std::vector<ValueTuple> rows;
+  bool done = false;
+  EXPECT_EQ(manager.Fetch(*sid, 1, &rows, &done).code(),
+            StatusCode::kNotFound);
+}
+
+TEST(RobustnessTest, ReapedSessionIsTornDownByReapIdleOutsideEveryLock) {
+  TeardownEnv env;
+  ASSERT_NE(env.tracked, nullptr);
+  server::SessionLimits limits;
+  limits.idle_timeout_ms = 1;
+  server::SessionManager manager(limits);
+  auto sid = manager.Open(std::move(env.tracked), /*complete=*/false);
+  ASSERT_TRUE(sid.ok());
+  // Used once, so ReapIdle owes it no open-to-first-fetch grace cycle.
+  ASSERT_TRUE(manager.Reset(*sid).ok());
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  ASSERT_FALSE(env.probe.artifact.expired());
+  EXPECT_EQ(manager.ReapIdle(), 1u);
+  EXPECT_TRUE(env.probe.artifact.expired()) << "ReapIdle left it alive";
+  EXPECT_EQ(*env.probe.locks_held, 0) << "session torn down under a lock";
+}
+
+TEST(RobustnessTest, ClosedSessionsAreTornDownByCloseAllOutsideEveryLock) {
+  TeardownEnv env;
+  ASSERT_NE(env.tracked, nullptr);
+  server::SessionManager manager;
+  // Two sessions share the artifact; it goes when the second one does.
+  ASSERT_TRUE(manager.Open(env.tracked, /*complete=*/false).ok());
+  ASSERT_TRUE(manager.Open(std::move(env.tracked), /*complete=*/false).ok());
+  ASSERT_FALSE(env.probe.artifact.expired());
+  EXPECT_EQ(manager.CloseAll(), 2u);
+  EXPECT_EQ(manager.live_sessions(), 0u);
+  EXPECT_TRUE(env.probe.artifact.expired()) << "CloseAll left a session alive";
+  EXPECT_EQ(*env.probe.locks_held, 0) << "session torn down under a lock";
+}
+
+TEST(RobustnessTest, DisplacedArtifactIsFreedByEvictAndByRePrepare) {
+  // The registry's two displacing writes drop the old artifact after mu_ is
+  // released (an OMQE_CHECK in front of each drop enforces that no lock is
+  // held); here the weak_ptr probe shows the drop has happened by the time
+  // the call returns when nothing else holds the artifact.
   World w;
   Ontology onto = w.Onto("HasOffice(x, y) -> Office(y)");
   w.Load("HasOffice(mary, room1)");
-  auto prepared_a = PreparedOMQ::Prepare(
-      MakeOMQ(onto, w.Query("q(x, y) :- HasOffice(x, y)")), w.db);
-  ASSERT_TRUE(prepared_a.ok());
-  auto prepared_b = PreparedOMQ::Prepare(
-      MakeOMQ(onto, w.Query("q(x) :- Office(x)")), w.db);
-  ASSERT_TRUE(prepared_b.ok());
+  server::QueryRegistry registry(&onto, &w.db);
+  const CQ query = w.Query("q(x, y) :- HasOffice(x, y)");
 
-  server::SessionManager manager;
-  std::weak_ptr<const PreparedOMQ> probe = *prepared_a;
-  auto sid = manager.Open(std::move(*prepared_a), /*complete=*/false);
-  ASSERT_TRUE(sid.ok());
-  prepared_a->reset();
-  // The session's cursor now holds the ONLY reference behind the probe.
-  ASSERT_FALSE(probe.expired());
+  ASSERT_TRUE(registry.Prepare("offices", query).ok());
+  std::weak_ptr<const PreparedOMQ> first = registry.Get("offices");
+  ASSERT_FALSE(first.expired());
+  ASSERT_TRUE(registry.Prepare("offices", query).ok());  // re-PREPARE
+  EXPECT_TRUE(first.expired()) << "re-PREPARE left the old artifact alive";
+  std::weak_ptr<const PreparedOMQ> second = registry.Get("offices");
+  ASSERT_FALSE(second.expired());
 
-  {
-    EpochGuard guard;  // a pinned reader somewhere in the fleet
-    ASSERT_TRUE(manager.Close(*sid).ok());
-    // Unreachable immediately (lookups miss)...
-    std::vector<ValueTuple> rows;
-    bool done = false;
-    EXPECT_EQ(manager.Fetch(*sid, 1, &rows, &done).code(),
-              StatusCode::kNotFound);
-    // ...but NOT destroyed: the reader's pin holds the retired Box — and
-    // with it the session and its artifact — back.
-    EXPECT_FALSE(probe.expired())
-        << "session destroyed while a reader was pinned";
-  }
-  // Reader gone; the next writer sweep (any Open/Close does one, asserting
-  // no locks are held) runs the deferred teardown.
-  auto sid2 = manager.Open(std::move(*prepared_b), /*complete=*/false);
-  ASSERT_TRUE(sid2.ok());
-  EXPECT_TRUE(probe.expired()) << "deferred teardown never ran";
-  ASSERT_TRUE(manager.Close(*sid2).ok());
+  ASSERT_TRUE(registry.Evict("offices"));
+  EXPECT_TRUE(second.expired()) << "Evict left the artifact alive";
+  EXPECT_EQ(registry.Get("offices"), nullptr);
+  EXPECT_EQ(registry.size(), 0u);
 }
 
 TEST(RobustnessTest, ShutdownCancelsQueuedPrepareBeforeItChases) {
