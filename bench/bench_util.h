@@ -10,6 +10,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <ctime>
 #include <initializer_list>
 #include <string>
 #include <string_view>
@@ -71,16 +72,45 @@ inline DelayStats ComputeDelayStats(std::vector<int64_t> delays) {
   return stats;
 }
 
+/// Median of a series of timed legs (the upper middle for an even count).
+inline double Median(std::vector<double> legs) {
+  std::nth_element(legs.begin(), legs.begin() + legs.size() / 2, legs.end());
+  return legs[legs.size() / 2];
+}
+
+/// Overhead in percent of the armed side over the disarmed side, from legs
+/// run in interleaved reps (leg i of each side ran in rep i): the median
+/// over reps of armed[i] / disarmed[i]. Pairing the two legs of a rep
+/// cancels the host's drift between reps, and the median drops the reps a
+/// burst of noise hit, where a minimum per side would compare the two
+/// sides' luckiest legs.
+inline double PairedOverheadPct(const std::vector<double>& disarmed,
+                                const std::vector<double>& armed) {
+  std::vector<double> ratios;
+  for (size_t i = 0; i < disarmed.size() && i < armed.size(); ++i) {
+    ratios.push_back(armed[i] / disarmed[i]);
+  }
+  return ratios.empty() ? 0 : (Median(std::move(ratios)) - 1) * 100;
+}
+
+/// CPU time the calling thread has run so far, in nanoseconds.
+inline int64_t ThreadCpuNanos() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<int64_t>(ts.tv_sec) * 1000000000 + ts.tv_nsec;
+}
+
 /// Runs `next` (returning false at end) to exhaustion, recording the delay
-/// before every answer (including the first after preprocessing).
+/// before every answer (including the first after preprocessing). The next
+/// delay starts after the push, so a growth of `delays` itself is never
+/// charged to an answer.
 template <typename NextFn>
 DelayStats MeasureDelays(NextFn&& next) {
   std::vector<int64_t> delays;
   int64_t last = NowNanos();
   while (next()) {
-    int64_t now = NowNanos();
-    delays.push_back(now - last);
-    last = now;
+    delays.push_back(NowNanos() - last);
+    last = NowNanos();
   }
   return ComputeDelayStats(std::move(delays));
 }

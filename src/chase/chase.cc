@@ -7,7 +7,6 @@
 #include "base/flat_hash.h"
 #include "base/timer.h"
 #include "base/trace.h"
-#include "chase/estimate.h"
 #include "horn/horn.h"
 
 namespace omqe {
@@ -132,15 +131,13 @@ class ChaseEngine {
       }
       std::vector<FactRef> delta = std::move(delta_);
       delta_.clear();
-      size_t round_est =
-          options_.adaptive_reserve ? ReserveForRound(delta.size()) : 0;
       ChaseStats& stats = result_->stats;
       ++stats.rounds;
       trace::ScopedSpan round_span("chase.round", delta.size());
       int64_t t0 = NowNanos();
       {
         trace::ScopedSpan match_span("chase.match");
-        MatchRound(delta, round_est);
+        MatchRound(delta);
         match_span.set_arg(cand_tgds_.size());
       }
       stats.match_nanos += static_cast<uint64_t>(NowNanos() - t0);
@@ -157,7 +154,6 @@ class ChaseEngine {
       stats.apply_nanos += static_cast<uint64_t>(NowNanos() - t1);
       OMQE_RETURN_IF_ERROR(applied);
     }
-    result_->stats.applied_rehashes = applied_.Stats().rehashes;
 
     // Count the database part.
     for (RelId r = 0; r < result_->db.NumRelationSlots(); ++r) {
@@ -206,81 +202,6 @@ class ChaseEngine {
       for (uint32_t row = 0; row < rows; ++row) idx.Add(result_->db, row);
     }
     return Status::OK();
-  }
-
-  /// Adaptive re-reservation at a delta-round boundary (the ROADMAP's
-  /// running fact-count estimate). Chase-created relations start from an
-  /// empty reservation and would otherwise grow their dedup tables and
-  /// index chains by repeated doubling as Apply adds facts. Before each
-  /// round, project the round's growth per head relation — first round: the
-  /// estimator's per-relation creation bound (min over guard-atom counts
-  /// per producing TGD, see chase/estimate.h — tighter than any feed sum,
-  /// and zero for head relations nothing feeds); later rounds: the previous
-  /// round's measured growth scaled by the delta-size ratio
-  /// (ScaleRoundGrowth — saturating, a plain product wraps on adversarial
-  /// round sizes and then either under-reserves or reserves garbage) — and
-  /// pre-size the relation plus its dynamic indexes once. The estimate is
-  /// linear in the facts that can actually fire, so memory stays within a
-  /// constant factor of the facts actually created.
-  ///
-  /// Returns the round's total projected creation (sum over head
-  /// relations, saturating at max_facts): the bound the match phase
-  /// reserves its candidate dedup table with.
-  size_t ReserveForRound(size_t delta_size) {
-    const bool first = head_rows_before_.empty();
-    if (first) {
-      head_rows_before_.assign(head_rels_.size(), 0);
-      first_round_bounds_ = FirstRoundCreationBounds(input_, onto_);
-    }
-    size_t round_est = 0;
-    for (size_t i = 0; i < head_rels_.size(); ++i) {
-      RelId r = head_rels_[i];
-      uint32_t rows = result_->db.NumRows(r);
-      size_t est;
-      if (first) {
-        // Clamped by the seeded-delta size: for guarded TGDs the bound is a
-        // guard count and already below it, but the unguarded fallback is a
-        // body-count product and must not turn a tiny join into a
-        // multi-gigabyte reservation.
-        est = r < first_round_bounds_.size()
-                  ? std::min(first_round_bounds_[r], delta_size)
-                  : 0;
-      } else {
-        size_t growth = rows - head_rows_before_[i];
-        est = ScaleRoundGrowth(growth, delta_size, prev_delta_);
-      }
-      head_rows_before_[i] = rows;
-      // Anything past the fact budget is dead on arrival (the chase aborts
-      // before filling it), and ReserveFacts speaks uint32_t rows.
-      size_t usable = std::min(est, options_.max_facts);
-      round_est = round_est > options_.max_facts - usable
-                      ? options_.max_facts
-                      : round_est + usable;
-      // Small projections are not worth a reservation: the default table
-      // already covers them and repeated tiny reserves only churn.
-      if (est >= 64 && est <= options_.max_facts && est <= UINT32_MAX) {
-        result_->db.ReserveFacts(r, static_cast<uint32_t>(est));
-        if (r < rel_indexes_.size()) {
-          for (uint32_t idx : rel_indexes_[r]) {
-            indexes_[idx].Reserve(static_cast<uint32_t>(
-                std::min<size_t>(rows + est, UINT32_MAX)));
-          }
-        }
-      }
-    }
-    // Pre-size the application-dedup table once per round. Firings and
-    // cap-suppressed applications both cost at most one table entry per
-    // candidate, and candidates track the round's creation estimate; 50%
-    // slack absorbs an under-estimate, so the table grows at most ~once per
-    // round (chase_test pins this through ChaseStats::applied_rehashes).
-    if (round_est >= 64) {
-      // round_est <= max_facts, so this is min(1.5 * round_est, max_facts)
-      // without the wrap.
-      applied_.Reserve(applied_.size() + round_est +
-                       std::min(round_est / 2, options_.max_facts - round_est));
-    }
-    prev_delta_ = delta_size;
-    return round_est;
   }
 
   void BuildPlans() {
@@ -355,17 +276,6 @@ class ChaseEngine {
       if (rel >= plans_by_rel_.size()) plans_by_rel_.resize(rel + 1);
       plans_by_rel_[rel].push_back(p);
     }
-    // Head relations are the only ones the delta loop can grow; the adaptive
-    // re-reservation tracks their per-round growth (the first round instead
-    // uses the estimator's creation bounds, see ReserveForRound).
-    for (const TGD& tgd : onto_.tgds()) {
-      for (const Atom& h : tgd.head()) {
-        if (std::find(head_rels_.begin(), head_rels_.end(), h.rel) ==
-            head_rels_.end()) {
-          head_rels_.push_back(h.rel);
-        }
-      }
-    }
   }
 
   uint32_t RegisterIndex(RelId rel, const std::vector<uint32_t>& key_pos) {
@@ -399,15 +309,10 @@ class ChaseEngine {
   /// cand_vals_. No writes to the database, indexes, or any other engine
   /// state happen in this phase, so every probe reads the round-start
   /// state.
-  void MatchRound(const std::vector<FactRef>& delta, size_t round_est) {
-    seen_.clear();
+  void MatchRound(const std::vector<FactRef>& delta) {
     cand_tgds_.clear();
     cand_vals_.clear();
     match_aborted_ = false;
-    // Candidates ~ firings, so the round creation bound pre-sizes the dedup
-    // table; clamped the same way as relation reservations so a saturated
-    // estimate cannot bad_alloc.
-    if (round_est >= 64 && round_est <= UINT32_MAX) seen_.Reserve(round_est);
     for (const FactRef& f : delta) {
       // Per-fact cancel checkpoint (strided clock inside the token): a
       // Cancel() from another thread or an expired deadline stops the
@@ -459,12 +364,10 @@ class ChaseEngine {
     }
   }
 
-  /// Buffers candidate (t, body values), dropping a repeat within the
-  /// round. The per-round `seen_` dedup only drops duplicates the global
-  /// applied_ table would skip anyway — including re-suppressed depth-capped
-  /// applications, which re-emit in LATER rounds because seen_ is cleared
-  /// per round — so it never changes the applied sequence, it only shrinks
-  /// the buffer.
+  /// Buffers candidate (t, body values). A body assignment can be emitted
+  /// once per plan whose delta atom matched a delta fact, so at most |body|
+  /// times per round; Apply's applied_ table skips (or re-suppresses) every
+  /// repeat, so repeats never change the applied sequence.
   void EmitCandidate(uint32_t t) {
     // A single delta fact can join-explode, so the per-fact checkpoint in
     // MatchRound is not enough: check per candidate too (one compare when
@@ -473,21 +376,13 @@ class ChaseEngine {
       match_aborted_ = true;
       return;
     }
-    const TGD& tgd = onto_.tgds()[t];
-    ValueTuple& key = key_;
-    key.clear();
-    key.push_back(t);
-    VarSet rest = tgd.BodyVars();
+    cand_tgds_.push_back(t);
+    VarSet rest = onto_.tgds()[t].BodyVars();
     while (rest) {
       uint32_t v = static_cast<uint32_t>(__builtin_ctzll(rest));
       rest &= rest - 1;
-      key.push_back(assign_[v]);
+      cand_vals_.push_back(assign_[v]);
     }
-    char& seen = seen_.InsertOrGet(key.data(), key.size(), 0);
-    if (seen) return;
-    seen = 1;
-    cand_tgds_.push_back(t);
-    cand_vals_.insert(cand_vals_.end(), key.begin() + 1, key.end());
   }
 
   /// Phase B: fires the round's candidates in discovery order. Rebuilds
@@ -667,10 +562,6 @@ class ChaseEngine {
   std::vector<MatchPlan> plans_;
   std::vector<std::vector<uint32_t>> plans_by_rel_;  // delta-atom rel -> plan ids
   std::vector<std::vector<PlanStep>> head_plans_;
-  std::vector<RelId> head_rels_;                 // relations TGD heads can grow
-  std::vector<size_t> first_round_bounds_;       // estimator bound per RelId
-  std::vector<uint32_t> head_rows_before_;       // rows at the last boundary
-  size_t prev_delta_ = 0;
   std::vector<DynIndex> indexes_;
   std::vector<std::vector<uint32_t>> rel_indexes_;
   /// Application dedup: TGD id + body values -> 1 once the application
@@ -685,7 +576,6 @@ class ChaseEngine {
   // One round's candidates (phase A output): candidate i is cand_tgds_[i]
   // plus its body-variable values appended to cand_vals_ in ascending
   // variable-id order. Reused across rounds (cleared, not freed).
-  TupleMap<char> seen_;  // per-round candidate dedup, keyed like applied_
   std::vector<uint32_t> cand_tgds_;
   std::vector<Value> cand_vals_;
   bool match_aborted_ = false;  // a cancel checkpoint failed mid-match

@@ -50,12 +50,6 @@ struct ChaseOptions {
   uint32_t null_depth = 4;
   /// Abort (ResourceExhausted) if the instance exceeds this many facts.
   size_t max_facts = 200u * 1000 * 1000;
-  /// Re-reserve chase-created relations at delta-round boundaries from a
-  /// running per-relation fact-count estimate, so facts beyond the seeded
-  /// reservation do not grow their dedup tables by repeated doubling. The
-  /// estimate is linear in the delta size, so the reservation stays within a
-  /// constant factor of the facts actually created.
-  bool adaptive_reserve = true;
   /// Optional cooperative cancellation / deadline. Checked at every
   /// delta-round boundary, every candidate application, and (strided) per
   /// delta fact and per candidate of the match phase, so a cancel or an
@@ -79,18 +73,17 @@ struct ChaseBlock {
 /// Observability counters for one chase run (the artifact's final RunChase
 /// when the query-directed saturation runs several). The server exports
 /// them as omqe_chase_*_total metrics; chase_test asserts the invariants
-/// (inventions equal the null high water growth, dedup-table rehashes stay
-/// within one per round).
+/// (inventions equal the null high water growth, every fired application
+/// was first a candidate).
 struct ChaseStats {
   uint64_t rounds = 0;           ///< delta rounds run
-  uint64_t candidates = 0;       ///< candidates emitted by phase A
+  /// Candidates emitted by phase A, repeats included: a body assignment
+  /// reached from k of its delta atoms in one round counts k times.
+  uint64_t candidates = 0;
   uint64_t applied = 0;          ///< applications actually fired
   uint64_t nulls_invented = 0;   ///< fresh nulls created by firings
   uint64_t match_nanos = 0;      ///< wall time in phase A (match)
   uint64_t apply_nanos = 0;      ///< wall time in phase B (apply)
-  /// Growth events of the application-dedup table (TupleMap rehashes) —
-  /// the per-round reservation keeps this within ~1 per growing round.
-  uint64_t applied_rehashes = 0;
 };
 
 struct ChaseResult {

@@ -1,6 +1,7 @@
 #include "chase/estimate.h"
 
 #include <algorithm>
+#include <vector>
 
 namespace omqe {
 
@@ -229,41 +230,6 @@ ChaseEstimate EstimateChaseSize(const Database& input, const Ontology& onto,
   est.converged = !changed && total <= options.budget;
   est.exceeds_budget = !est.converged;
   return est;
-}
-
-size_t ScaleRoundGrowth(size_t growth, size_t delta_size, size_t prev_delta) {
-  if (prev_delta == 0) return growth;
-  size_t scaled;
-  if (!__builtin_mul_overflow(growth, delta_size, &scaled)) {
-    size_t est = scaled / prev_delta;
-    return est == SIZE_MAX ? est : est + 1;
-  }
-  // The exact product wraps: divide first. This loses at most prev_delta-1
-  // from the numerator, and the trailing +1 keeps the result nonzero, so
-  // the projection stays a usable (if slightly coarser) estimate instead of
-  // a wrapped one. If even the divided form overflows, the true estimate
-  // exceeds any reservable size — saturate and let the caller's budget
-  // clamp discard it.
-  size_t quotient = growth / prev_delta;
-  if (__builtin_mul_overflow(quotient, delta_size, &scaled)) return SIZE_MAX;
-  return scaled == SIZE_MAX ? scaled : scaled + 1;
-}
-
-std::vector<size_t> FirstRoundCreationBounds(const Database& input,
-                                             const Ontology& onto) {
-  constexpr size_t kCap = SIZE_MAX / 2;
-  std::vector<size_t> counts(NumRelationSlotsFor(input, onto), 0);
-  for (RelId r = 0; r < input.NumRelationSlots(); ++r) {
-    counts[r] = input.NumRows(r);
-  }
-  std::vector<size_t> bounds(counts.size(), 0);
-  for (const TGD& tgd : onto.tgds()) {
-    size_t firings = FiringsBound(tgd, counts, kCap);
-    for (const Atom& h : tgd.head()) {
-      bounds[h.rel] = SatAdd(bounds[h.rel], firings, kCap);
-    }
-  }
-  return bounds;
 }
 
 }  // namespace omqe

@@ -28,15 +28,15 @@
 //
 // Consumers: QueryRegistry::Prepare rejects exploding ontologies before
 // paying for the chase (the fuzzer's guarded_random family shows why —
-// seed 2208 chases toward the 200M-fact budget from 7 input facts), the
-// differential fuzzer raises its per-case chase budget when the bound
-// proves it safe, and the chase engine's first-round delta reservation
-// uses FirstRoundCreationBounds below instead of a feed-sum heuristic.
+// seed 2208 chases toward the 200M-fact budget from 7 input facts), and
+// the differential fuzzer raises its per-case chase budget when the bound
+// proves it safe. The chase engine itself does not read the estimate: it
+// sizes its tables exactly for the input facts and lets every table double
+// from there.
 #ifndef OMQE_CHASE_ESTIMATE_H_
 #define OMQE_CHASE_ESTIMATE_H_
 
 #include <cstdint>
-#include <vector>
 
 #include "data/database.h"
 #include "tgd/tgd.h"
@@ -71,23 +71,6 @@ struct ChaseEstimate {
 /// ||onto|| per round; never touches the data beyond per-relation counts.
 ChaseEstimate EstimateChaseSize(const Database& input, const Ontology& onto,
                                 const ChaseEstimateOptions& options = {});
-
-/// Per-relation upper bound on the facts the FIRST chase delta round can
-/// create: for every TGD, its firing bound over the input counts (min over
-/// guard atoms; saturating product when unguarded), attributed to its head
-/// relations. Indexed by RelId; relations beyond the returned size have
-/// bound 0. Used by the chase engine's round-boundary reservation.
-std::vector<size_t> FirstRoundCreationBounds(const Database& input,
-                                             const Ontology& onto);
-
-/// Projects the previous round's measured `growth` onto the next round by
-/// the delta-size ratio: growth * delta_size / prev_delta + 1, computed
-/// without wrapping. A plain size_t product silently overflows on large
-/// growth x delta rounds and either under-reserves (wrap to a small value)
-/// or reserves absurdly (wrap near SIZE_MAX); this saturates instead —
-/// overflow can only make the estimate LARGER, and callers clamp against
-/// their fact budget. Returns `growth` when prev_delta is 0.
-size_t ScaleRoundGrowth(size_t growth, size_t delta_size, size_t prev_delta);
 
 }  // namespace omqe
 

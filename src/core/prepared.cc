@@ -1,6 +1,7 @@
 #include "core/prepared.h"
 
 #include <algorithm>
+#include <string>
 
 #include "base/trace.h"
 
@@ -56,8 +57,8 @@ StatusOr<std::shared_ptr<const PreparedOMQ>> PreparedOMQ::Prepare(
                                      &p->partial_norm_));
     }
     trace::ScopedSpan span("prepare.collect_trees");
-    p->BuildSlots();
-    p->BuildSubtrees();
+    OMQE_RETURN_IF_ERROR(p->BuildSlots());
+    OMQE_RETURN_IF_ERROR(p->BuildSubtrees());
     p->CollectProgressTrees();
     p->LinkLists();
     p->ReleaseBuildState();
@@ -77,7 +78,7 @@ void PreparedOMQ::ReleaseBuildState() {
   scratch_list_key_ = ValueTuple();
 }
 
-void PreparedOMQ::BuildSlots() {
+Status PreparedOMQ::BuildSlots() {
   node_to_slot_.resize(partial_norm_.trees.size());
   for (size_t t = 0; t < partial_norm_.trees.size(); ++t) {
     node_to_slot_[t].assign(partial_norm_.trees[t].nodes.size(), -1);
@@ -97,7 +98,12 @@ void PreparedOMQ::BuildSlots() {
       }
     }
   }
-  OMQE_CHECK(slots_.size() <= 64);
+  if (slots_.size() > 64) {
+    return Status::InvalidArgument(
+        "query normalizes to " + std::to_string(slots_.size()) +
+        " tree nodes; partial answers support at most 64");
+  }
+  return Status::OK();
 }
 
 uint32_t PreparedOMQ::SubtreeIdFor(uint64_t mask, int root_slot) {
@@ -125,7 +131,7 @@ uint32_t PreparedOMQ::SubtreeIdFor(uint64_t mask, int root_slot) {
   return id;
 }
 
-void PreparedOMQ::BuildSubtrees() {
+Status PreparedOMQ::BuildSubtrees() {
   // Bottom-up: combos(s) = all connected subgraph masks rooted at s.
   std::vector<std::vector<uint64_t>> combos(slots_.size());
   for (int s = static_cast<int>(slots_.size()); s-- > 0;) {
@@ -138,13 +144,18 @@ void PreparedOMQ::BuildSubtrees() {
         for (uint64_t cm : combos[c]) next.push_back(base | cm);
       }
       acc = std::move(next);
-      OMQE_CHECK(acc.size() <= (1u << 20));
+      if (acc.size() > (1u << 20)) {
+        return Status::InvalidArgument(
+            "query has more than 2^20 subtrees at one node; partial answers "
+            "support at most 2^20");
+      }
     }
     combos[s] = std::move(acc);
   }
   for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
     for (uint64_t mask : combos[s]) SubtreeIdFor(mask, s);
   }
+  return Status::OK();
 }
 
 void PreparedOMQ::AddProgressTree(uint32_t subtree,

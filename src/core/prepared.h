@@ -105,8 +105,12 @@ class PreparedOMQ {
 
   PreparedOMQ() = default;
 
-  void BuildSlots();
-  void BuildSubtrees();
+  /// One slot per normalized-tree node; InvalidArgument past 64 slots (a
+  /// subtree is a 64-bit slot mask).
+  Status BuildSlots();
+  /// Every connected subtree of every tree; InvalidArgument when one root
+  /// would have more than 2^20 of them.
+  Status BuildSubtrees();
   void CollectProgressTrees();
   void CollectFromRow(int slot, uint32_t row);
   void LinkLists();

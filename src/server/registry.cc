@@ -36,8 +36,6 @@ QueryRegistry::QueryRegistry(const Ontology* onto, const Database* db,
       metrics_->GetCounter("omqe_chase_nulls_invented_total");
   m_.chase_match_nanos = metrics_->GetCounter("omqe_chase_match_nanos_total");
   m_.chase_apply_nanos = metrics_->GetCounter("omqe_chase_apply_nanos_total");
-  m_.chase_applied_rehashes =
-      metrics_->GetCounter("omqe_chase_applied_rehashes_total");
   m_.size = metrics_->GetGauge("omqe_registry_size");
   m_.size->SetCallback(
       [this]() -> int64_t { return static_cast<int64_t>(size()); });
@@ -150,7 +148,6 @@ StatusOr<std::shared_ptr<const PreparedOMQ>> QueryRegistry::PrepareLocked(
     m_.chase_nulls_invented->Inc(cs.nulls_invented);
     m_.chase_match_nanos->Inc(cs.match_nanos);
     m_.chase_apply_nanos->Inc(cs.apply_nanos);
-    m_.chase_applied_rehashes->Inc(cs.applied_rehashes);
     std::shared_ptr<const PreparedOMQ>& slot = queries_[name];
     *displaced = std::move(slot);
     slot = prepared.value();

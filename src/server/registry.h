@@ -142,7 +142,6 @@ class QueryRegistry {
     metrics::Counter* chase_nulls_invented;
     metrics::Counter* chase_match_nanos;
     metrics::Counter* chase_apply_nanos;
-    metrics::Counter* chase_applied_rehashes;
     metrics::Gauge* size;  ///< callback view over size()
   };
   Counters m_;

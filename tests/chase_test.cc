@@ -4,6 +4,8 @@
 #include "chase/estimate.h"
 #include "chase/query_directed.h"
 #include "eval/brute.h"
+#include "workload/chains.h"
+#include "workload/office.h"
 #include "test_util.h"
 
 namespace omqe {
@@ -163,107 +165,6 @@ TEST(ChaseTest, BlockMembershipIsConsistent) {
       EXPECT_TRUE(has_block_null);
     }
   }
-}
-
-TEST(ChaseTest, AdaptiveReservationMatchesAndReducesRehashes) {
-  // Chase-created relations (S, T are not in the input) would otherwise
-  // grow their dedup tables by doubling; the adaptive round-boundary
-  // reservation must eliminate most of that without changing the result.
-  auto build = [](World* w) {
-    w->vocab.ReserveConstants(5000);
-    w->db.ReserveFacts(w->vocab.RelationId("A", 1), 4096);
-    for (int i = 0; i < 4096; ++i) {
-      Value v[1] = {w->C("a" + std::to_string(i))};
-      w->db.AddFact(w->vocab.FindRelation("A"), v, 1);
-    }
-  };
-  // The U -> V rule never fires (no U facts); V must not be reserved for
-  // the delta size — the first-round estimate is bounded by the rows of the
-  // relations actually feeding each head relation.
-  const char* kOnto = R"(
-    A(x) -> exists y. S(x, y), T(y, x)
-    U(x) -> exists y. V(x, y)
-  )";
-  World on_world, off_world;
-  Ontology onto_on = on_world.Onto(kOnto);
-  Ontology onto_off = off_world.Onto(kOnto);
-  build(&on_world);
-  build(&off_world);
-
-  ChaseOptions on;
-  on.adaptive_reserve = true;
-  ChaseOptions off = on;
-  off.adaptive_reserve = false;
-  auto with = RunChase(on_world.db, onto_on, on);
-  auto without = RunChase(off_world.db, onto_off, off);
-  ASSERT_TRUE(with.ok());
-  ASSERT_TRUE(without.ok());
-
-  const Database& da = (*with)->db;
-  const Database& db = (*without)->db;
-  ASSERT_EQ(da.TotalFacts(), db.TotalFacts());
-  for (RelId r = 0; r < da.NumRelationSlots(); ++r) {
-    ASSERT_EQ(da.NumRows(r), db.NumRows(r));
-    for (uint32_t row = 0; row < da.NumRows(r); ++row) {
-      ASSERT_TRUE(db.Contains(r, da.Row(r, row), da.Arity(r)));
-    }
-  }
-
-  auto rehashes = [](const Database& d, RelId r) {
-    return d.DedupStats(r).rehashes;
-  };
-  RelId s = on_world.vocab.FindRelation("S");
-  RelId t = on_world.vocab.FindRelation("T");
-  // Without reservation: ~log2(4096/12) doubling rehashes per relation.
-  EXPECT_GE(rehashes(db, s), 5u);
-  // With the round-boundary estimate the bulk of the growth is pre-sized.
-  EXPECT_LE(rehashes(da, s), 1u);
-  EXPECT_LE(rehashes(da, t), 1u);
-  // The unfed head relation kept its (empty) default-size table.
-  RelId v = on_world.vocab.FindRelation("V");
-  EXPECT_EQ(da.NumRows(v), 0u);
-  EXPECT_LE(da.DedupStats(v).capacity, 16u);
-}
-
-TEST(ChaseTest, FirstRoundReservationUsesEstimatorBound) {
-  // Guarded join body: A(x, y) guards {x, y}, so the estimator bounds the
-  // first-round creations of S by |A| — the old feed-sum heuristic would
-  // have reserved |A| + |B| (B is made much larger to expose the gap).
-  World w;
-  w.vocab.ReserveConstants(24000);
-  RelId a = w.vocab.RelationId("A", 2);
-  RelId b = w.vocab.RelationId("B", 1);
-  w.db.ReserveFacts(a, 4096);
-  w.db.ReserveFacts(b, 16384);
-  for (int i = 0; i < 4096; ++i) {
-    Value t[2] = {w.C("x" + std::to_string(i)), w.C("y" + std::to_string(i % 64))};
-    w.db.AddFact(a, t, 2);
-  }
-  // B shares the 64 y-values of A plus filler so |B| = 16384.
-  for (int i = 0; i < 16384; ++i) {
-    Value t[1] = {w.C(i < 64 ? "y" + std::to_string(i) : "b" + std::to_string(i))};
-    w.db.AddFact(b, t, 1);
-  }
-  Ontology onto = w.Onto("A(x, y), B(y) -> exists z. S(x, z)");
-
-  // The estimator's per-relation first-round bound: min over guard counts.
-  std::vector<size_t> bounds = FirstRoundCreationBounds(w.db, onto);
-  RelId s = w.vocab.FindRelation("S");
-  ASSERT_LT(s, bounds.size());
-  EXPECT_EQ(bounds[s], 4096u);
-
-  ChaseOptions opts;
-  opts.adaptive_reserve = true;
-  auto result = RunChase(w.db, onto, opts);
-  ASSERT_TRUE(result.ok());
-  const Database& chased = (*result)->db;
-  EXPECT_EQ(chased.NumRows(s), 4096u);
-  // Small guarded case: the estimator-sized reservation keeps the dedup
-  // table at <=1 rehash, and its capacity reflects the 4096-row bound, not
-  // the 20480-row feed sum (Reserve(4096) -> 8192 slots; a feed-sum
-  // reservation would have sized it to 32768).
-  EXPECT_LE(chased.DedupStats(s).rehashes, 1u);
-  EXPECT_LE(chased.DedupStats(s).capacity, 8192u);
 }
 
 TEST(ChaseEstimateTest, BoundsOfficeExampleTightly) {
@@ -491,40 +392,7 @@ TEST(ChaseTest, RestrictedModePreservesCertainAnswers) {
 }
 
 // ---------------------------------------------------------------------------
-// Round-boundary reservation arithmetic (chase/estimate.h).
-// ---------------------------------------------------------------------------
-
-TEST(ChaseEstimateTest, ScaleRoundGrowthMatchesExactFormulaInRange) {
-  // In-range inputs reproduce growth * delta / prev + 1 exactly.
-  EXPECT_EQ(ScaleRoundGrowth(10, 20, 5), 41u);
-  EXPECT_EQ(ScaleRoundGrowth(0, 1000, 10), 1u);
-  EXPECT_EQ(ScaleRoundGrowth(7, 0, 3), 1u);
-  EXPECT_EQ(ScaleRoundGrowth(1, 1, 1), 2u);
-  // prev_delta == 0: carry the growth forward unscaled.
-  EXPECT_EQ(ScaleRoundGrowth(123, 456, 0), 123u);
-}
-
-TEST(ChaseEstimateTest, ScaleRoundGrowthSaturatesInsteadOfWrapping) {
-  // The pre-fix expression growth * delta / prev + 1 wraps the product for
-  // adversarially large rounds; a wrapped product then UNDER-reserves (the
-  // quotient of a tiny wrapped value), which is exactly the pathology the
-  // reservation exists to avoid. The fixed arithmetic must stay monotone:
-  // never below the honest quotient, saturating at SIZE_MAX.
-  const size_t half = SIZE_MAX / 2;
-  // 2^63 * 8 wraps in size_t; divide-first gives (2^63/2)*8 -> saturates.
-  EXPECT_EQ(ScaleRoundGrowth(half, 8, 2), SIZE_MAX);
-  // Exact product 2^70 wraps; divide-first recovers 2^50 + 1 exactly.
-  EXPECT_EQ(ScaleRoundGrowth(size_t{1} << 40, size_t{1} << 30, size_t{1} << 20),
-            (size_t{1} << 50) + 1);
-  // Sanity against the naive expression where it is still exact.
-  size_t g = 1u << 20, d = 1u << 10, p = 1u << 5;
-  EXPECT_EQ(ScaleRoundGrowth(g, d, p), g * d / p + 1);
-  // Never returns a small wrapped value on huge inputs.
-  EXPECT_GE(ScaleRoundGrowth(SIZE_MAX, SIZE_MAX, 3), SIZE_MAX / 3);
-}
-
-// ---------------------------------------------------------------------------
-// Delta rounds: fact budget, stats invariants, dedup-table growth.
+// Delta rounds: fact budget and stats invariants.
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -555,7 +423,8 @@ struct WideWorld : World {
 /// Invention-dense ontology: multi-existential heads, head conjunctions,
 /// blocks joined through body nulls, recursion that outruns the depth cap,
 /// and applications reachable from two delta atoms of the same seed round
-/// (A(x) and B(x)), so the per-round and global dedup both drop repeats.
+/// (A(x) and B(x)), so one round's candidates repeat and the global dedup
+/// drops the repeats.
 struct InventionDenseWorld : World {
   Ontology onto;
   InventionDenseWorld() {
@@ -571,19 +440,6 @@ struct InventionDenseWorld : World {
       facts += "A(a" + std::to_string(i) + ") B(a" + std::to_string(i) + ") ";
     }
     Load(facts);
-  }
-};
-
-/// Each derived round multiplies the instance eightfold from a 4-fact seed,
-/// so the application-dedup table must grow several-fold per round.
-struct BranchingWorld : World {
-  Ontology onto;
-  BranchingWorld() {
-    onto = Onto(
-        "P(x) -> exists y1, y2, y3, y4, y5, y6, y7, y8. E(x, y1), E(x, y2), "
-        "E(x, y3), E(x, y4), E(x, y5), E(x, y6), E(x, y7), E(x, y8)\n"
-        "E(x, y) -> P(y)");
-    Load("P(s0) P(s1) P(s2) P(s3)");
   }
 };
 
@@ -619,24 +475,108 @@ TEST(ChaseTest, ChaseStatsInvariantsHold) {
   EXPECT_GT(s.apply_nanos, 0u);
 }
 
-TEST(ChaseTest, PerRoundReservationPinsAppliedTableRehashes) {
-  // The contract of the per-round applied_ reservation: the
-  // application-dedup table grows at most once per delta round. Without
-  // ReserveForRound's sizing, the branching world's doubling table
-  // rehashes about three times per eightfold round.
-  auto check = [](const World& w, const Ontology& onto, uint32_t depth) {
-    ChaseOptions opts;
-    opts.null_depth = depth;
-    auto r = RunChase(w.db, onto, opts);
-    ASSERT_TRUE(r.ok());
-    const ChaseStats& s = (*r)->stats;
-    ASSERT_GT(s.rounds, 0u);
-    EXPECT_LE(s.applied_rehashes, s.rounds);
+
+// ---------------------------------------------------------------------------
+// Determinism: a ChaseResult is a pure function of (input, ontology,
+// options). How the chase sizes or grows its tables must never show in it,
+// so the digests below only change with the chase's semantics.
+// ---------------------------------------------------------------------------
+
+/// FNV-1a over everything a ChaseResult exposes except its timing and
+/// counter stats: every relation's rows in order, null_block, the blocks
+/// (source, source tuple, fact refs), truncated, cap_used and db_part_facts.
+/// (To re-record after an intended change, print it with std::hex.)
+uint64_t ChaseDigest(const ChaseResult& r) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
   };
-  InventionDenseWorld dense;
-  check(dense, dense.onto, 3);
-  BranchingWorld branching;
-  check(branching, branching.onto, 4);
+  const Database& db = r.db;
+  mix(db.NumRelationSlots());
+  for (RelId rel = 0; rel < db.NumRelationSlots(); ++rel) {
+    mix(db.NumRows(rel));
+    for (uint32_t row = 0; row < db.NumRows(rel); ++row) {
+      const Value* t = db.Row(rel, row);
+      for (uint32_t i = 0; i < db.Arity(rel); ++i) mix(t[i]);
+    }
+  }
+  mix(r.null_block.size());
+  for (uint32_t b : r.null_block) mix(b);
+  mix(r.blocks.size());
+  for (const ChaseBlock& block : r.blocks) {
+    mix(block.has_source);
+    mix(block.source_rel);
+    mix(block.source_tuple.size());
+    for (Value v : block.source_tuple) mix(v);
+    mix(block.facts.size());
+    for (const FactRef& f : block.facts) {
+      mix(f.rel);
+      mix(f.row);
+    }
+  }
+  mix(r.truncated);
+  mix(r.cap_used);
+  mix(r.db_part_facts);
+  return h;
+}
+
+TEST(ChaseDigestTest, OfficeQueryDirectedChaseIsPinned) {
+  World w;
+  OfficeParams params;
+  params.researchers = 2000;
+  GenerateOffice(params, &w.db);
+  OMQ omq = OfficeOMQ(&w.vocab);
+  auto r = QueryDirectedChase(w.db, omq.ontology, omq.query);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(ChaseDigest(**r), 0xdd5a088ceafeaeb8ULL);
+}
+
+TEST(ChaseDigestTest, ChainQueryDirectedChaseIsPinned) {
+  World w;
+  ChainParams params;
+  params.length = 3;
+  params.base_size = 1000;
+  params.fanout = 3;
+  params.anonymous_fraction = 0.2;
+  GenerateChain(params, &w.db);
+  Ontology onto = ChainOntology(&w.vocab, params.length);
+  CQ q = ChainQuery(&w.vocab, params.length);
+  auto r = QueryDirectedChase(w.db, onto, q);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(ChaseDigest(**r), 0x0377e59f5b70696dULL);
+}
+
+TEST(ChaseDigestTest, InventionDenseChaseIsPinnedInBothModes) {
+  // No head of this ontology is ever satisfied before it fires, so the
+  // restricted chase runs its head checks and lands on the same result.
+  InventionDenseWorld w;
+  ChaseOptions opts;
+  opts.null_depth = 3;
+  auto oblivious = RunChase(w.db, w.onto, opts);
+  ASSERT_TRUE(oblivious.ok());
+  EXPECT_EQ(ChaseDigest(**oblivious), 0xa620cadf6f8086f0ULL);
+  opts.mode = ChaseMode::kRestricted;
+  auto restricted = RunChase(w.db, w.onto, opts);
+  ASSERT_TRUE(restricted.ok());
+  EXPECT_EQ(ChaseDigest(**restricted), 0xa620cadf6f8086f0ULL);
+}
+
+TEST(ChaseDigestTest, RestrictedChaseSkippingSatisfiedHeadsIsPinned) {
+  // Half the researchers already have an office, so the restricted chase
+  // skips their HasOffice applications and differs from the oblivious one.
+  WideWorld w;
+  ChaseOptions opts;
+  opts.mode = ChaseMode::kRestricted;
+  auto r = RunChase(w.db, w.onto, opts);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(ChaseDigest(**r), 0x51e14e3ad2acfde6ULL);
+  opts.mode = ChaseMode::kOblivious;
+  auto o = RunChase(w.db, w.onto, opts);
+  ASSERT_TRUE(o.ok());
+  EXPECT_EQ(ChaseDigest(**o), 0xf780fd51bd23ccb3ULL);
 }
 
 }  // namespace

@@ -175,8 +175,7 @@ TEST(ServerTest, ProtocolRoundTripsThroughInProcessClient) {
   for (const char* metric :
        {"omqe_chase_rounds_total ", "omqe_chase_candidates_total ",
         "omqe_chase_applied_total ", "omqe_chase_nulls_invented_total ",
-        "omqe_chase_match_nanos_total ", "omqe_chase_apply_nanos_total ",
-        "omqe_chase_applied_rehashes_total "}) {
+        "omqe_chase_match_nanos_total ", "omqe_chase_apply_nanos_total "}) {
     EXPECT_NE(r.find(std::string("METRIC ") + metric), std::string::npos)
         << metric << "\n" << r;
   }
@@ -249,20 +248,45 @@ TEST(ServerTest, WideStarQueryFetchesAndServerKeepsServing) {
   EXPECT_EQ(ResponseTerminator(r), "OK FETCH 3 done") << r;
 }
 
-TEST(ServerTest, TooManyQueryVariablesIsBadRequest) {
-  // A 64-atom chain has 65 distinct variables, one past VarSet's width.
+TEST(ServerTest, OversizedQueryIsBadRequest) {
   OfficeServer w;
   server::InProcessClient client(w.srv.get());
-  std::string body;
+  auto star = [](int atoms) {
+    std::string head = "q(x", body;
+    for (int i = 1; i <= atoms; ++i) {
+      head += ", y" + std::to_string(i);
+      body += (i > 1 ? ", " : "") + std::string("HasOffice(x, y") +
+              std::to_string(i) + ")";
+    }
+    return head + ") :- " + body;
+  };
+  // A 64-atom chain has 65 distinct variables, one past VarSet's width.
+  std::string chain = "q(x0) :- ";
   for (int i = 0; i < 64; ++i) {
-    body += (i > 0 ? ", HasOffice(x" : "HasOffice(x") + std::to_string(i) +
-            ", x" + std::to_string(i + 1) + ")";
+    chain += (i > 0 ? ", HasOffice(x" : "HasOffice(x") + std::to_string(i) +
+             ", x" + std::to_string(i + 1) + ")";
   }
-  std::string r = client.Roundtrip("PREPARE wide q(x0) :- " + body);
-  EXPECT_EQ(r.rfind("ERR BADREQ", 0), 0u) << r;
-  // The connection and the server survive: the next PREPARE succeeds.
-  r = client.Roundtrip(std::string("PREPARE offices ") + kOfficeQuery);
-  EXPECT_EQ(r, "OK PREPARED offices trees=8 chase_facts=19\n") << r;
+  // 65 atoms over 33 variables normalize to 65 tree nodes, one past the
+  // 64-bit slot mask of a partial-answer subtree.
+  std::string nodes = "q(x";
+  std::string nodes_body = "Researcher(x)";
+  for (int i = 1; i <= 32; ++i) {
+    nodes += ", y" + std::to_string(i);
+    nodes_body += ", HasOffice(x, y" + std::to_string(i) + "), Office(y" +
+                  std::to_string(i) + ")";
+  }
+  nodes += ") :- " + nodes_body;
+  // A 22-atom star has 2^21 subtrees rooted at its centre, past 2^20.
+  for (const std::string& query : {chain, nodes, star(22)}) {
+    std::string r = client.Roundtrip("PREPARE big " + query);
+    EXPECT_EQ(r.rfind("ERR BADREQ", 0), 0u) << r;
+    // The connection and the server survive: the next PREPARE succeeds.
+    r = client.Roundtrip(std::string("PREPARE offices ") + kOfficeQuery);
+    EXPECT_EQ(r, "OK PREPARED offices trees=8 chase_facts=19\n") << r;
+  }
+  // The 21-atom star sits exactly at 2^20 and still prepares.
+  std::string r = client.Roundtrip("PREPARE star " + star(21));
+  EXPECT_EQ(r.rfind("OK PREPARED star ", 0), 0u) << r;
 }
 
 TEST(ServerTest, InterleavedFetchesMatchBruteForce) {
