@@ -7,6 +7,7 @@
 #include "base/flat_hash.h"
 #include "base/timer.h"
 #include "base/trace.h"
+#include "data/index.h"
 #include "horn/horn.h"
 
 namespace omqe {
@@ -15,63 +16,17 @@ namespace {
 
 constexpr Value kUnbound = 0xffffffffu;
 
-/// Incremental hash index over one relation, keyed by a set of positions.
-/// Unlike PositionIndex it supports appending rows as the chase grows.
-class DynIndex {
- public:
-  DynIndex(RelId rel, std::vector<uint32_t> key_positions)
-      : rel_(rel), key_positions_(std::move(key_positions)) {}
-
-  RelId rel() const { return rel_; }
-  const std::vector<uint32_t>& key_positions() const { return key_positions_; }
-
-  /// Pre-sizes for `rows` total rows: one sizing of the head map (slots and
-  /// key arena) and chain array, so a bulk build performs no intermediate
-  /// rehash. The bulk path of chase preprocessing.
-  void Reserve(uint32_t rows) {
-    next_.reserve(rows);
-    if (!key_positions_.empty()) {
-      heads_.Reserve(rows, static_cast<size_t>(rows) * key_positions_.size());
-    }
-  }
-
-  void Add(const Database& db, uint32_t row) {
-    OMQE_CHECK(row == next_.size());
-    next_.push_back(UINT32_MAX);
-    const Value* t = db.Row(rel_, row);
-    if (key_positions_.empty()) {
-      // Chain in reverse (traversal order does not matter for the chase).
-      next_[row] = all_head_;
-      all_head_ = row;
-      return;
-    }
-    key_.clear();
-    for (uint32_t p : key_positions_) key_.push_back(t[p]);
-    uint32_t& head = heads_.InsertOrGet(key_.data(), key_.size(), UINT32_MAX);
-    next_[row] = head;
-    head = row;
-  }
-
-  uint32_t First(const Value* key) const {
-    if (key_positions_.empty()) return all_head_;
-    const uint32_t* head =
-        heads_.Find(key, static_cast<uint32_t>(key_positions_.size()));
-    return head == nullptr ? UINT32_MAX : *head;
-  }
-  uint32_t Next(uint32_t row) const { return next_[row]; }
-
- private:
-  RelId rel_;
-  std::vector<uint32_t> key_positions_;
-  ValueTuple key_;  // scratch, reused across Add calls (no per-tuple alloc)
-  TupleMap<uint32_t> heads_;
-  std::vector<uint32_t> next_;
-  uint32_t all_head_ = UINT32_MAX;
+/// A join index of the chase: a RowIndex over one relation of the result,
+/// filled through Add as the chase appends rows, so every chain lists the
+/// newest rows first.
+struct JoinIndex {
+  RelId rel;
+  RowIndex index;
 };
 
 struct PlanStep {
   uint32_t atom;       // body atom index matched in this step
-  uint32_t index_id;   // DynIndex to probe
+  uint32_t index_id;   // JoinIndex to probe
 };
 
 /// Matching plan for one (TGD, delta-atom) pair: after seeding the
@@ -172,7 +127,7 @@ class ChaseEngine {
 
  private:
   /// Bulk-seeds the result database with the input facts: one up-front
-  /// sizing per relation (dedup table, tuple storage) and per dynamic index,
+  /// sizing per relation (dedup table, tuple storage) and per join index,
   /// then a single pass each — zero intermediate rehashes, no per-fact index
   /// maintenance. The seeded facts form the initial delta.
   Status SeedInputFacts() {
@@ -196,10 +151,12 @@ class ChaseEngine {
       }
     }
     // Batched index construction over the seeded rows.
-    for (DynIndex& idx : indexes_) {
-      uint32_t rows = result_->db.NumRows(idx.rel());
-      idx.Reserve(rows);
-      for (uint32_t row = 0; row < rows; ++row) idx.Add(result_->db, row);
+    for (JoinIndex& idx : indexes_) {
+      uint32_t rows = result_->db.NumRows(idx.rel);
+      idx.index.Reserve(rows);
+      for (uint32_t row = 0; row < rows; ++row) {
+        idx.index.Add(result_->db.Row(idx.rel, row));
+      }
     }
     return Status::OK();
   }
@@ -280,9 +237,9 @@ class ChaseEngine {
 
   uint32_t RegisterIndex(RelId rel, const std::vector<uint32_t>& key_pos) {
     for (uint32_t i = 0; i < indexes_.size(); ++i) {
-      if (indexes_[i].rel() == rel && indexes_[i].key_positions() == key_pos) return i;
+      if (indexes_[i].rel == rel && indexes_[i].index.key_columns() == key_pos) return i;
     }
-    indexes_.emplace_back(rel, key_pos);
+    indexes_.push_back({rel, RowIndex(key_pos)});
     if (rel >= rel_indexes_.size()) rel_indexes_.resize(rel + 1);
     rel_indexes_[rel].push_back(static_cast<uint32_t>(indexes_.size() - 1));
     return static_cast<uint32_t>(indexes_.size() - 1);
@@ -348,9 +305,9 @@ class ChaseEngine {
     }
     const PlanStep& ps = plan.steps[step];
     const Atom& atom = onto_.tgds()[plan.tgd].body()[ps.atom];
-    const DynIndex& index = indexes_[ps.index_id];
+    const RowIndex& index = indexes_[ps.index_id].index;
     ValueTuple key;
-    for (uint32_t p : index.key_positions()) {
+    for (uint32_t p : index.key_columns()) {
       key.push_back(assign_[VarOf(atom.terms[p])]);
     }
     for (uint32_t row = index.First(key.data()); row != UINT32_MAX;
@@ -416,9 +373,9 @@ class ChaseEngine {
     const std::vector<PlanStep>& plan = head_plans_[t];
     if (step == plan.size()) return true;
     const Atom& atom = onto_.tgds()[t].head()[plan[step].atom];
-    const DynIndex& index = indexes_[plan[step].index_id];
+    const RowIndex& index = indexes_[plan[step].index_id].index;
     ValueTuple key;
-    for (uint32_t p : index.key_positions()) key.push_back(assign[VarOf(atom.terms[p])]);
+    for (uint32_t p : index.key_columns()) key.push_back(assign[VarOf(atom.terms[p])]);
     for (uint32_t row = index.First(key.data()); row != UINT32_MAX;
          row = index.Next(row)) {
       SmallVec<uint32_t, 8> bound;
@@ -536,9 +493,10 @@ class ChaseEngine {
       return Status::ResourceExhausted("chase exceeded the fact budget");
     }
     FactRef ref{rel, result_->db.NumRows(rel) - 1};
-    // Maintain the dynamic indexes.
+    // Maintain the join indexes.
     if (rel < rel_indexes_.size()) {
-      for (uint32_t i : rel_indexes_[rel]) indexes_[i].Add(result_->db, ref.row);
+      const Value* row = result_->db.Row(ref);
+      for (uint32_t i : rel_indexes_[rel]) indexes_[i].index.Add(row);
     }
     delta_.push_back(ref);
     // Record block membership for facts containing a block null.
@@ -562,7 +520,7 @@ class ChaseEngine {
   std::vector<MatchPlan> plans_;
   std::vector<std::vector<uint32_t>> plans_by_rel_;  // delta-atom rel -> plan ids
   std::vector<std::vector<PlanStep>> head_plans_;
-  std::vector<DynIndex> indexes_;
+  std::vector<JoinIndex> indexes_;
   std::vector<std::vector<uint32_t>> rel_indexes_;
   /// Application dedup: TGD id + body values -> 1 once the application
   /// fired (or, in restricted mode, found its head satisfied). A

@@ -4,10 +4,49 @@
 #include <string>
 
 #include "base/trace.h"
-
+#include "cq/hypergraph.h"
 #include "eval/brute.h"  // kNoValue
 
 namespace omqe {
+
+namespace {
+
+// A partial-answer subtree is a 64-bit mask over q1's nodes, and the build
+// enumerates every connected subtree rooted at each node.
+constexpr size_t kMaxTreeNodes = 64;
+constexpr uint64_t kMaxSubtreesPerNode = uint64_t{1} << 20;
+
+/// Refuses a query whose q1 has more than 64 nodes, or a node rooting more
+/// than 2^20 connected subtrees. q1's shape depends on the query alone, so
+/// this runs before the chase.
+Status CheckPartialShape(const CQ& q) {
+  std::vector<VarSet> nodes;
+  for (const Q1Node& n : Q1Nodes(q)) nodes.push_back(n.vars);
+  if (nodes.size() > kMaxTreeNodes) {
+    return Status::InvalidArgument(
+        "query normalizes to " + std::to_string(nodes.size()) +
+        " tree nodes; partial answers support at most 64");
+  }
+  auto forest = GyoJoinForest(nodes);
+  if (!forest.has_value()) return Status::OK();  // Normalize reports it
+  // Node v roots the product over its children c of (1 + subtrees(c)).
+  std::vector<uint64_t> subtrees(nodes.size());
+  for (int v : forest->BottomUp()) {
+    uint64_t n = 1;
+    for (int c : forest->children[v]) {
+      n *= 1 + subtrees[c];
+      if (n > kMaxSubtreesPerNode) {
+        return Status::InvalidArgument(
+            "query has more than 2^20 subtrees at one node; partial answers "
+            "support at most 2^20");
+      }
+    }
+    subtrees[v] = n;
+  }
+  return Status::OK();
+}
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // PreparedOMQ: the once-only preprocessing phase.
@@ -29,6 +68,7 @@ StatusOr<std::shared_ptr<const PreparedOMQ>> PreparedOMQ::Prepare(
   if (options.for_partial && db.HasNulls()) {
     return Status::InvalidArgument("input databases must be null-free");
   }
+  if (options.for_partial) OMQE_RETURN_IF_ERROR(CheckPartialShape(omq.query));
   StatusOr<std::shared_ptr<ChaseResult>> chase = [&] {
     trace::ScopedSpan span("prepare.chase", db.TotalFacts());
     return QueryDirectedChase(db, omq.ontology, omq.query, options.chase);
@@ -57,8 +97,8 @@ StatusOr<std::shared_ptr<const PreparedOMQ>> PreparedOMQ::Prepare(
                                      &p->partial_norm_));
     }
     trace::ScopedSpan span("prepare.collect_trees");
-    OMQE_RETURN_IF_ERROR(p->BuildSlots());
-    OMQE_RETURN_IF_ERROR(p->BuildSubtrees());
+    p->BuildSlots();
+    p->BuildSubtrees();
     p->CollectProgressTrees();
     p->LinkLists();
     p->ReleaseBuildState();
@@ -78,7 +118,7 @@ void PreparedOMQ::ReleaseBuildState() {
   scratch_list_key_ = ValueTuple();
 }
 
-Status PreparedOMQ::BuildSlots() {
+void PreparedOMQ::BuildSlots() {
   node_to_slot_.resize(partial_norm_.trees.size());
   for (size_t t = 0; t < partial_norm_.trees.size(); ++t) {
     node_to_slot_[t].assign(partial_norm_.trees[t].nodes.size(), -1);
@@ -98,12 +138,7 @@ Status PreparedOMQ::BuildSlots() {
       }
     }
   }
-  if (slots_.size() > 64) {
-    return Status::InvalidArgument(
-        "query normalizes to " + std::to_string(slots_.size()) +
-        " tree nodes; partial answers support at most 64");
-  }
-  return Status::OK();
+  OMQE_CHECK(slots_.size() <= kMaxTreeNodes);  // CheckPartialShape
 }
 
 uint32_t PreparedOMQ::SubtreeIdFor(uint64_t mask, int root_slot) {
@@ -131,7 +166,7 @@ uint32_t PreparedOMQ::SubtreeIdFor(uint64_t mask, int root_slot) {
   return id;
 }
 
-Status PreparedOMQ::BuildSubtrees() {
+void PreparedOMQ::BuildSubtrees() {
   // Bottom-up: combos(s) = all connected subgraph masks rooted at s.
   std::vector<std::vector<uint64_t>> combos(slots_.size());
   for (int s = static_cast<int>(slots_.size()); s-- > 0;) {
@@ -144,18 +179,13 @@ Status PreparedOMQ::BuildSubtrees() {
         for (uint64_t cm : combos[c]) next.push_back(base | cm);
       }
       acc = std::move(next);
-      if (acc.size() > (1u << 20)) {
-        return Status::InvalidArgument(
-            "query has more than 2^20 subtrees at one node; partial answers "
-            "support at most 2^20");
-      }
+      OMQE_CHECK(acc.size() <= kMaxSubtreesPerNode);  // CheckPartialShape
     }
     combos[s] = std::move(acc);
   }
   for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
     for (uint64_t mask : combos[s]) SubtreeIdFor(mask, s);
   }
-  return Status::OK();
 }
 
 void PreparedOMQ::AddProgressTree(uint32_t subtree,

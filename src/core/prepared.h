@@ -105,12 +105,12 @@ class PreparedOMQ {
 
   PreparedOMQ() = default;
 
-  /// One slot per normalized-tree node; InvalidArgument past 64 slots (a
-  /// subtree is a 64-bit slot mask).
-  Status BuildSlots();
-  /// Every connected subtree of every tree; InvalidArgument when one root
-  /// would have more than 2^20 of them.
-  Status BuildSubtrees();
+  /// One slot per normalized-tree node (at most 64: a subtree is a 64-bit
+  /// slot mask; Prepare refuses larger queries before the chase).
+  void BuildSlots();
+  /// Every connected subtree of every tree (at most 2^20 per root, which
+  /// Prepare also checks up front).
+  void BuildSubtrees();
   void CollectProgressTrees();
   void CollectFromRow(int slot, uint32_t row);
   void LinkLists();

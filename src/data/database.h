@@ -65,6 +65,11 @@ class Database {
     return rels_[rel].tuples.data() + static_cast<size_t>(row) * Arity(rel);
   }
   const Value* Row(const FactRef& f) const { return Row(f.rel, f.row); }
+  /// Row-major storage of `rel`: NumRows(rel) rows of Arity(rel) values
+  /// (nullptr for a relation without a slot).
+  const Value* Rows(RelId rel) const {
+    return rel < rels_.size() ? rels_[rel].tuples.data() : nullptr;
+  }
 
   /// Number of relations this database has slots for (ids < this are valid
   /// to query; they may have zero rows).

@@ -2,44 +2,49 @@
 
 namespace omqe {
 
-PositionIndex::PositionIndex(const Database& db, RelId rel,
-                             std::vector<uint32_t> key_positions)
-    : key_positions_(std::move(key_positions)) {
-  uint32_t rows = db.NumRows(rel);
+RowIndex::RowIndex(std::vector<uint32_t> key_columns)
+    : key_cols_(std::move(key_columns)) {
+  key_.resize(static_cast<uint32_t>(key_cols_.size()));
+}
+
+RowIndex::RowIndex(const Value* data, uint32_t rows, uint32_t width,
+                   std::vector<uint32_t> key_columns)
+    : RowIndex(std::move(key_columns)) {
+  Reserve(rows);
   next_.assign(rows, UINT32_MAX);
-  // Batch-first: one up-front sizing of the head map (slots and key arena)
-  // from the row count, then a single pass that reuses one scratch key
-  // buffer — no intermediate rehash, no per-tuple allocation.
-  if (!key_positions_.empty()) {
-    heads_.Reserve(rows, static_cast<size_t>(rows) * key_positions_.size());
-  }
-  ValueTuple key;
-  key.resize(static_cast<uint32_t>(key_positions_.size()));
-  // Insert in reverse row order and prepend, so that chain traversal visits
+  // Insert in reverse row order and prepend, so that every chain lists its
   // rows in ascending order (deterministic enumeration output).
-  for (uint32_t i = rows; i-- > 0;) {
-    const Value* t = db.Row(rel, i);
-    if (key_positions_.empty()) {
-      next_[i] = all_head_;
-      all_head_ = i;
-      continue;
-    }
-    for (uint32_t k = 0; k < key.size(); ++k) key[k] = t[key_positions_[k]];
-    uint32_t& head = heads_.InsertOrGet(key.data(), key.size(), UINT32_MAX);
-    next_[i] = head;
-    head = i;
+  for (uint32_t r = rows; r-- > 0;) {
+    uint32_t& head = HeadFor(data + static_cast<size_t>(r) * width);
+    next_[r] = head;
+    head = r;
   }
 }
 
-PositionIndex::Matches PositionIndex::Lookup(const Value* key) const {
-  return Matches(this, First(key));
+void RowIndex::Reserve(uint32_t rows) {
+  next_.reserve(rows);
+  if (!key_cols_.empty()) {
+    heads_.Reserve(rows, static_cast<size_t>(rows) * key_cols_.size());
+  }
 }
 
-uint32_t PositionIndex::First(const Value* key) const {
-  if (key_positions_.empty()) return all_head_;
-  const uint32_t* head =
-      heads_.Find(key, static_cast<uint32_t>(key_positions_.size()));
+void RowIndex::Add(const Value* row) {
+  uint32_t id = static_cast<uint32_t>(next_.size());
+  uint32_t& head = HeadFor(row);
+  next_.push_back(head);
+  head = id;
+}
+
+uint32_t RowIndex::First(const Value* key) const {
+  if (key_cols_.empty()) return all_head_;
+  const uint32_t* head = heads_.Find(key, static_cast<uint32_t>(key_cols_.size()));
   return head == nullptr ? UINT32_MAX : *head;
+}
+
+uint32_t& RowIndex::HeadFor(const Value* row) {
+  if (key_cols_.empty()) return all_head_;
+  for (uint32_t k = 0; k < key_cols_.size(); ++k) key_[k] = row[key_cols_[k]];
+  return heads_.InsertOrGet(key_.data(), key_.size(), UINT32_MAX);
 }
 
 }  // namespace omqe

@@ -9,13 +9,13 @@ namespace omqe {
 
 HomSearch::HomSearch(const CQ& q, const Database& db) : q_(q), db_(db) {}
 
-const PositionIndex* HomSearch::IndexFor(uint32_t atom,
-                                         const std::vector<uint32_t>& key_pos) {
+const RowIndex* HomSearch::IndexFor(uint32_t atom, const std::vector<uint32_t>& key_pos) {
   for (const CachedIndex& c : cache_) {
-    if (c.atom == atom && c.key_positions == key_pos) return c.index.get();
+    if (c.atom == atom && c.index->key_columns() == key_pos) return c.index.get();
   }
-  cache_.push_back({atom, key_pos,
-                    std::make_unique<PositionIndex>(db_, q_.atoms()[atom].rel, key_pos)});
+  RelId rel = q_.atoms()[atom].rel;
+  cache_.push_back({atom, std::make_unique<RowIndex>(db_.Rows(rel), db_.NumRows(rel),
+                                                     db_.Arity(rel), key_pos)});
   return cache_.back().index.get();
 }
 
@@ -67,9 +67,9 @@ bool HomSearch::Recurse(const std::vector<uint32_t>& order, size_t step,
       key.push_back(v);
     }
   }
-  const PositionIndex* index = IndexFor(atom_idx, key_pos);
-  for (auto m = index->Lookup(key.data()); !m.Done(); m.Next()) {
-    const Value* row = db_.Row(atom.rel, m.Row());
+  const RowIndex* index = IndexFor(atom_idx, key_pos);
+  for (uint32_t r = index->First(key.data()); r != UINT32_MAX; r = index->Next(r)) {
+    const Value* row = db_.Row(atom.rel, r);
     // Bind the remaining positions, checking repeated-variable consistency.
     SmallVec<uint32_t, 8> fresh;
     bool ok = true;

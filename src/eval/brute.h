@@ -35,11 +35,10 @@ class HomSearch {
  private:
   struct CachedIndex {
     uint32_t atom;
-    std::vector<uint32_t> key_positions;
-    std::unique_ptr<PositionIndex> index;
+    std::unique_ptr<RowIndex> index;
   };
 
-  const PositionIndex* IndexFor(uint32_t atom, const std::vector<uint32_t>& key_pos);
+  const RowIndex* IndexFor(uint32_t atom, const std::vector<uint32_t>& key_pos);
   bool Recurse(const std::vector<uint32_t>& order, size_t step,
                std::vector<Value>* assign,
                const std::function<bool(const std::vector<Value>&)>& cb);

@@ -22,14 +22,26 @@ std::vector<uint32_t> SetToSortedVars(VarSet s) {
 
 }  // namespace
 
+std::vector<Q1Node> Q1Nodes(const CQ& q0) {
+  const VarSet answers = q0.AnswerVarSet();
+  std::vector<Q1Node> nodes;
+  for (const std::vector<int>& comp : VarConnectedComponents(q0)) {
+    for (int ai : comp) {
+      VarSet p = CQ::AtomVars(q0.atoms()[ai]) & answers;
+      if (p != 0) nodes.push_back({ai, p});
+    }
+  }
+  return nodes;
+}
+
 Status Normalize(const CQ& q0, const Database& d0, bool answers_constants_only,
                  Normalized* out) {
   out->empty = false;
   out->trees.clear();
   const VarSet answers = q0.AnswerVarSet();
 
-  // Projected prefix relations collected across components.
-  std::vector<VarRelation> projected;
+  // Fully reduced atom relations of the non-Boolean components, by atom.
+  std::vector<VarRelation> reduced(q0.atoms().size());
 
   for (const std::vector<int>& comp : VarConnectedComponents(q0)) {
     // Materialize the component's atom relations.
@@ -119,23 +131,18 @@ Status Normalize(const CQ& q0, const Database& d0, bool answers_constants_only,
       }
     }
 
-    // Project every atom containing an answer variable onto its answer
-    // variables; these are the q1 nodes.
-    for (size_t ai = 0; ai < comp.size(); ++ai) {
-      VarSet p = edges[ai] & answers;
-      if (p == 0) continue;
-      projected.push_back(rels[ai].Project(SetToSortedVars(p)));
-    }
+    for (size_t i = 0; i < comp.size(); ++i) reduced[comp[i]] = std::move(rels[i]);
   }
 
-  // Build q1's join forest over the projected variable sets.
+  // Project every atom containing an answer variable onto its answer
+  // variables; these are the q1 nodes. Build q1's join forest over them.
+  std::vector<VarRelation> projected;
   std::vector<VarSet> p_edges;
-  p_edges.reserve(projected.size());
-  for (const VarRelation& r : projected) {
-    VarSet s = 0;
-    for (uint32_t v : r.vars()) s |= VarBit(v);
-    p_edges.push_back(s);
+  for (const Q1Node& n : Q1Nodes(q0)) {
+    projected.push_back(reduced[n.atom].Project(SetToSortedVars(n.vars)));
+    p_edges.push_back(n.vars);
   }
+  reduced.clear();
   auto p_forest = GyoJoinForest(p_edges);
   if (!p_forest.has_value()) {
     // Cannot happen for acyclic + free-connex inputs (see DESIGN.md §2.3).
@@ -205,7 +212,8 @@ Status Normalize(const CQ& q0, const Database& d0, bool answers_constants_only,
       }
     }
     for (NormNode& node : tree.nodes) {
-      node.index = VarRelationIndex(node.rel, node.pred_vars);
+      node.index = RowIndex(node.rel.Row(0), node.rel.NumRows(), node.rel.width(),
+                            node.rel.ColumnsOf(node.pred_vars));
     }
   }
   return Status::OK();

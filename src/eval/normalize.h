@@ -23,6 +23,7 @@
 #include "base/status.h"
 #include "cq/cq.h"
 #include "data/database.h"
+#include "data/index.h"
 #include "eval/varrel.h"
 
 namespace omqe {
@@ -36,8 +37,9 @@ struct NormNode {
   std::vector<int> children;
   /// Variables shared with the parent (the predecessor variables of §5).
   std::vector<uint32_t> pred_vars;
-  /// Index of `rel` keyed by `pred_vars` (all rows for the root).
-  VarRelationIndex index;
+  /// Index of `rel` keyed by the columns of `pred_vars` (all rows for the
+  /// root).
+  RowIndex index;
 };
 
 /// One connected q1 join tree.
@@ -55,6 +57,19 @@ struct Normalized {
   /// Pairwise variable-disjoint trees covering all answer variables.
   std::vector<NormTree> trees;
 };
+
+/// One node of q1: an atom of q0 that has an answer variable, and those
+/// answer variables.
+struct Q1Node {
+  int atom;
+  VarSet vars;
+};
+
+/// q1's nodes in the order Normalize creates them (per variable-connected
+/// component of q0, its atoms in component order). They depend on q0 alone,
+/// so limits on q1's shape can be checked before any data is touched; the
+/// forest Normalize builds is GyoJoinForest over their variable sets.
+std::vector<Q1Node> Q1Nodes(const CQ& q0);
 
 /// Builds the normalization. Requires q0 acyclic and free-connex acyclic
 /// (InvalidArgument otherwise). When `answers_constants_only` is set, rows

@@ -17,11 +17,8 @@ void SemijoinReduce(VarRelation* target, const VarRelation& source) {
     return;
   }
   // Build the set of source key tuples.
-  std::vector<uint32_t> src_cols, tgt_cols;
-  for (uint32_t v : shared) {
-    src_cols.push_back(source.ColumnOf(v));
-    tgt_cols.push_back(target->ColumnOf(v));
-  }
+  std::vector<uint32_t> src_cols = source.ColumnsOf(shared);
+  std::vector<uint32_t> tgt_cols = target->ColumnsOf(shared);
   TupleMap<char> keys;
   keys.Reserve(source.NumRows(),
                static_cast<size_t>(source.NumRows()) * shared.size());
@@ -36,42 +33,6 @@ void SemijoinReduce(VarRelation* target, const VarRelation& source) {
     for (uint32_t i = 0; i < tgt_cols.size(); ++i) tmp[i] = row[tgt_cols[i]];
     return keys.Find(tmp.data(), tmp.size()) != nullptr;
   });
-}
-
-VarRelationIndex::VarRelationIndex(const VarRelation& rel,
-                                   const std::vector<uint32_t>& key_vars) {
-  for (uint32_t v : key_vars) {
-    uint32_t c = rel.ColumnOf(v);
-    OMQE_CHECK(c != UINT32_MAX);
-    key_cols_.push_back(c);
-  }
-  next_.assign(rel.NumRows(), UINT32_MAX);
-  // Batch-first: size the head map once from the row count so the build pass
-  // never rehashes.
-  if (!key_cols_.empty()) {
-    heads_.Reserve(rel.NumRows(),
-                   static_cast<size_t>(rel.NumRows()) * key_cols_.size());
-  }
-  ValueTuple key;
-  key.resize(static_cast<uint32_t>(key_cols_.size()));
-  for (uint32_t r = rel.NumRows(); r-- > 0;) {
-    if (key_cols_.empty()) {
-      next_[r] = all_head_;
-      all_head_ = r;
-      continue;
-    }
-    const Value* row = rel.Row(r);
-    for (uint32_t i = 0; i < key_cols_.size(); ++i) key[i] = row[key_cols_[i]];
-    uint32_t& head = heads_.InsertOrGet(key.data(), key.size(), UINT32_MAX);
-    next_[r] = head;
-    head = r;
-  }
-}
-
-uint32_t VarRelationIndex::First(const Value* key) const {
-  if (key_cols_.empty()) return all_head_;
-  const uint32_t* head = heads_.Find(key, static_cast<uint32_t>(key_cols_.size()));
-  return head == nullptr ? UINT32_MAX : *head;
 }
 
 }  // namespace omqe

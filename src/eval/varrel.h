@@ -1,7 +1,7 @@
 // VarRelation: a materialized relation whose columns are query variables.
 // The Yannakakis passes, the (q1, D1) normalization and the enumerators all
-// manipulate these: semijoin reduction, projection, and hash indexes keyed
-// by column subsets.
+// manipulate these: semijoin reduction and projection. Hash indexes over
+// them are RowIndexes (data/index.h) keyed by ColumnsOf(variables).
 #ifndef OMQE_EVAL_VARREL_H_
 #define OMQE_EVAL_VARREL_H_
 
@@ -63,6 +63,18 @@ class VarRelation {
     return UINT32_MAX;
   }
 
+  /// Positions of `vars` (each one of this relation's variables).
+  std::vector<uint32_t> ColumnsOf(const std::vector<uint32_t>& vars) const {
+    std::vector<uint32_t> cols;
+    cols.reserve(vars.size());
+    for (uint32_t v : vars) {
+      uint32_t c = ColumnOf(v);
+      OMQE_CHECK(c != UINT32_MAX);
+      cols.push_back(c);
+    }
+    return cols;
+  }
+
   /// Keeps only the rows for which `pred(row)` holds.
   template <typename Pred>
   void Filter(Pred&& pred) {
@@ -98,13 +110,7 @@ class VarRelation {
   VarRelation Project(const std::vector<uint32_t>& onto_vars) const {
     VarRelation out(onto_vars);
     out.Reserve(num_rows_);
-    std::vector<uint32_t> cols;
-    cols.reserve(onto_vars.size());
-    for (uint32_t v : onto_vars) {
-      uint32_t c = ColumnOf(v);
-      OMQE_CHECK(c != UINT32_MAX);
-      cols.push_back(c);
-    }
+    std::vector<uint32_t> cols = ColumnsOf(onto_vars);
     ValueTuple tmp;
     tmp.resize(static_cast<uint32_t>(cols.size()));
     for (uint32_t r = 0; r < num_rows_; ++r) {
@@ -130,24 +136,6 @@ std::vector<uint32_t> SharedVars(const VarRelation& a, const VarRelation& b);
 /// projection occurs in source). With no shared variables this keeps target
 /// iff source is non-empty (cross-product semantics).
 void SemijoinReduce(VarRelation* target, const VarRelation& source);
-
-/// Hash index over a VarRelation keyed by a list of its variables.
-class VarRelationIndex {
- public:
-  VarRelationIndex() = default;
-  VarRelationIndex(const VarRelation& rel, const std::vector<uint32_t>& key_vars);
-
-  /// First row whose key columns equal `key`, or UINT32_MAX.
-  uint32_t First(const Value* key) const;
-  uint32_t Next(uint32_t row) const { return next_[row]; }
-  const std::vector<uint32_t>& key_columns() const { return key_cols_; }
-
- private:
-  std::vector<uint32_t> key_cols_;
-  TupleMap<uint32_t> heads_;
-  std::vector<uint32_t> next_;
-  uint32_t all_head_ = UINT32_MAX;
-};
 
 }  // namespace omqe
 

@@ -3,6 +3,7 @@
 #include <arpa/inet.h>
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -573,6 +574,11 @@ Status ServeTcp(OmqeServer* server, uint16_t port,
     // read path tolerates a spurious wakeup.
     int flags = ::fcntl(conn, F_GETFL, 0);
     if (flags >= 0) ::fcntl(conn, F_SETFL, flags | O_NONBLOCK);
+    // Every reply is one write(); without TCP_NODELAY, Nagle holds a short
+    // reply back until the client acknowledges the previous one, which a
+    // client waiting on that reply delays by its delayed-ACK timer.
+    int nodelay = 1;
+    ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &nodelay, sizeof(nodelay));
     if (server->options().sndbuf_bytes > 0) {
       int sndbuf = server->options().sndbuf_bytes;
       ::setsockopt(conn, SOL_SOCKET, SO_SNDBUF, &sndbuf, sizeof(sndbuf));

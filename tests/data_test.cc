@@ -78,26 +78,31 @@ TEST(DatabaseTest, ToStringListsFacts) {
   EXPECT_NE(s.find("R(a,b)"), std::string::npos);
 }
 
-TEST(PositionIndexTest, LookupByBoundPositions) {
+/// A bulk-built RowIndex over relation `rel` of `db`.
+RowIndex IndexRelation(const Database& db, RelId rel, std::vector<uint32_t> key_columns) {
+  return RowIndex(db.Rows(rel), db.NumRows(rel), db.Arity(rel), std::move(key_columns));
+}
+
+TEST(RowIndexTest, LookupByBoundPositions) {
   World w;
   w.Load("E(a,b) E(a,c) E(b,c) E(c,a)");
   RelId e = w.vocab.FindRelation("E");
-  PositionIndex by_first(w.db, e, {0});
+  RowIndex by_first = IndexRelation(w.db, e, {0});
   Value key[1] = {w.C("a")};
   int count = 0;
-  for (auto m = by_first.Lookup(key); !m.Done(); m.Next()) ++count;
+  for (uint32_t r = by_first.First(key); r != UINT32_MAX; r = by_first.Next(r)) ++count;
   EXPECT_EQ(count, 2);
   key[0] = w.C("z");
-  EXPECT_FALSE(by_first.HasMatch(key));
+  EXPECT_EQ(by_first.First(key), UINT32_MAX);
   // Empty key: all rows.
-  PositionIndex all(w.db, e, {});
+  RowIndex all = IndexRelation(w.db, e, {});
   count = 0;
-  for (auto m = all.Lookup(nullptr); !m.Done(); m.Next()) ++count;
+  for (uint32_t r = all.First(nullptr); r != UINT32_MAX; r = all.Next(r)) ++count;
   EXPECT_EQ(count, 4);
   // Both positions.
-  PositionIndex by_both(w.db, e, {0, 1});
+  RowIndex by_both = IndexRelation(w.db, e, {0, 1});
   Value key2[2] = {w.C("b"), w.C("c")};
-  EXPECT_TRUE(by_both.HasMatch(key2));
+  EXPECT_NE(by_both.First(key2), UINT32_MAX);
 }
 
 TEST(DatabaseTest, ReservedBulkLoadNeverRehashes) {
@@ -119,7 +124,7 @@ TEST(DatabaseTest, ReservedBulkLoadNeverRehashes) {
   EXPECT_LT(stats.LoadFactor(), 0.75);
 }
 
-TEST(PositionIndexTest, BatchedBuildNeverRehashes) {
+TEST(RowIndexTest, BatchedBuildNeverRehashes) {
   Vocabulary vocab;
   Database db(&vocab);
   RelId e = vocab.RelationId("E", 2);
@@ -129,31 +134,46 @@ TEST(PositionIndexTest, BatchedBuildNeverRehashes) {
     Value t[2] = {i % 997, i};
     db.AddFact(e, t, 2);
   }
-  PositionIndex idx(db, e, {0, 1});
+  RowIndex idx = IndexRelation(db, e, {0, 1});
   HashStats stats = idx.HeadStats();
   EXPECT_EQ(stats.size, n);  // all keys distinct -> one head per row
   EXPECT_EQ(stats.rehashes, 0u);
   EXPECT_LT(stats.LoadFactor(), 0.75);
   // The index still answers lookups.
   Value key[2] = {5, 5};
-  EXPECT_TRUE(idx.HasMatch(key));
+  EXPECT_NE(idx.First(key), UINT32_MAX);
 }
 
-TEST(PositionIndexTest, ChainsAscending) {
+TEST(RowIndexTest, ChainsAscending) {
   World w;
   w.Load("E(a,b) E(a,c) E(a,d)");
   RelId e = w.vocab.FindRelation("E");
-  PositionIndex idx(w.db, e, {0});
+  RowIndex idx = IndexRelation(w.db, e, {0});
   Value key[1] = {w.C("a")};
   uint32_t prev = 0;
   bool first = true;
-  for (auto m = idx.Lookup(key); !m.Done(); m.Next()) {
+  for (uint32_t r = idx.First(key); r != UINT32_MAX; r = idx.Next(r)) {
     if (!first) {
-      EXPECT_GT(m.Row(), prev);
+      EXPECT_GT(r, prev);
     }
-    prev = m.Row();
+    prev = r;
     first = false;
   }
+}
+
+TEST(RowIndexTest, AddedRowsChainNewestFirst) {
+  // The chase fills its join indexes row by row and matches newer rows
+  // first; its pinned results depend on this order.
+  RowIndex idx({0});
+  Value rows[4][2] = {{1, 10}, {2, 11}, {1, 12}, {1, 13}};
+  idx.Reserve(4);
+  for (auto& row : rows) idx.Add(row);
+  Value key[1] = {1};
+  std::vector<uint32_t> chain;
+  for (uint32_t r = idx.First(key); r != UINT32_MAX; r = idx.Next(r)) chain.push_back(r);
+  EXPECT_EQ(chain, (std::vector<uint32_t>{3, 2, 0}));
+  key[0] = 3;
+  EXPECT_EQ(idx.First(key), UINT32_MAX);
 }
 
 }  // namespace

@@ -93,11 +93,11 @@ TEST(VarRelationTest, SemijoinSharedAndDisjoint) {
   EXPECT_TRUE(a.empty());
 }
 
-TEST(VarRelationIndexTest, KeyLookup) {
+TEST(RowIndexTest, KeyLookupOverVarRelation) {
   VarRelation r({3, 7});
   Value rows[3][2] = {{1, 10}, {1, 11}, {2, 12}};
   for (auto& row : rows) r.AddRow(row);
-  VarRelationIndex idx(r, {3});
+  RowIndex idx(r.Row(0), r.NumRows(), r.width(), r.ColumnsOf({3}));
   Value key[1] = {1};
   int n = 0;
   for (uint32_t row = idx.First(key); row != UINT32_MAX; row = idx.Next(row)) ++n;

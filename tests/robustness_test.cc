@@ -906,6 +906,48 @@ TEST(RobustnessTest, SeededFaultProbabilityReplaysDeterministically) {
   EXPECT_EQ(first_ok, second_ok);
 }
 
+TEST(RobustnessTest, OversizedPartialQueryIsRefusedBeforeTheChase) {
+  // Both partial-answer limits depend on the query alone, so PREPARE
+  // refuses an oversized query before the chase runs: with the chase.round
+  // fault armed once, the refusal is still ERR BADREQ and nothing fires.
+  FaultGuard guard;
+  OfficeServer w;
+  server::InProcessClient client(w.srv.get());
+  auto star = [](int atoms) {
+    std::string head = "q(x", body;
+    for (int i = 1; i <= atoms; ++i) {
+      head += ", y" + std::to_string(i);
+      body += (i > 1 ? ", " : "") + std::string("HasOffice(x, y") +
+              std::to_string(i) + ")";
+    }
+    return head + ") :- " + body;
+  };
+  // 65 atoms over 33 variables normalize to 65 tree nodes.
+  std::string nodes = "q(x", nodes_body = "Researcher(x)";
+  for (int i = 1; i <= 32; ++i) {
+    nodes += ", y" + std::to_string(i);
+    nodes_body += ", HasOffice(x, y" + std::to_string(i) + "), Office(y" +
+                  std::to_string(i) + ")";
+  }
+  nodes += ") :- " + nodes_body;
+  FaultSpec once;
+  ASSERT_TRUE(ParseFaultSpec("n1", &once));
+  FaultInjector::Instance().Arm(kFaultChaseRound, once);
+  // A 22-atom star has 2^21 subtrees rooted at its centre.
+  for (const std::string& query : {nodes, star(22)}) {
+    std::string r = client.Roundtrip("PREPARE big " + query);
+    EXPECT_EQ(r.rfind("ERR BADREQ", 0), 0u) << r;
+  }
+  EXPECT_EQ(FaultInjector::Instance().fired(), 0u);
+  // The 21-atom star sits exactly at 2^20: it passes the check, and its
+  // chase meets the armed fault.
+  std::string r = client.Roundtrip("PREPARE star " + star(21));
+  EXPECT_EQ(r.rfind("ERR INTERNAL", 0), 0u) << r;
+  EXPECT_EQ(FaultInjector::Instance().fired(), 1u);
+  r = client.Roundtrip("PREPARE star " + star(21));
+  EXPECT_EQ(r.rfind("OK PREPARED star ", 0), 0u) << r;
+}
+
 // ---------------------------------------------------------------------------
 // Wire-level garbage.
 // ---------------------------------------------------------------------------

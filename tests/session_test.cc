@@ -13,6 +13,8 @@
 #include "core/multiwild_enum.h"
 #include "core/partial_enum.h"
 #include "core/prepared.h"
+#include "workload/chains.h"
+#include "workload/office.h"
 #include "test_util.h"
 
 namespace omqe {
@@ -266,6 +268,82 @@ TEST(SessionTest, ConcurrentThreadsOnLargerInstance) {
   for (int i = 0; i < kThreads; ++i) {
     EXPECT_TRUE(SameTupleSet(got[i], want)) << "thread " << i;
   }
+}
+
+// Answer-order digests. The tests above compare answer sets; these pin the
+// order in which each cursor emits its answers, which follows the chains of
+// the normalization's row indexes and of the progress-tree lists. How those
+// tables are stored or grown must never show in it. FNV-1a 64 over each
+// answer's length and then its values, in output order, with the byte
+// mixing of chase_test's ChaseDigest. (To re-record after an intended order
+// change, print it with std::hex.)
+struct AnswerDigest {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  uint64_t answers = 0;
+
+  void Mix(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  void Add(const ValueTuple& t) {
+    ++answers;
+    Mix(t.size());
+    for (Value v : t) Mix(v);
+  }
+};
+
+struct OrderDigests {
+  AnswerDigest complete, partial, multi;
+};
+
+OrderDigests DigestAnswerOrder(const OMQ& omq, const Database& db) {
+  auto p = PreparedOMQ::Prepare(omq, db);
+  OMQE_CHECK(p.ok());
+  std::shared_ptr<const PreparedOMQ> prepared = std::move(p).value();
+  OrderDigests d;
+  ValueTuple t;
+  CompleteSession complete(prepared);
+  while (complete.Next(&t)) d.complete.Add(t);
+  EnumerationSession partial(prepared);
+  while (partial.Next(&t)) d.partial.Add(t);
+  auto multi = MultiWildcardEnumerator::FromPrepared(prepared);
+  while (multi->Next(&t)) d.multi.Add(t);
+  return d;
+}
+
+TEST(AnswerOrderDigestTest, OfficeAnswerOrderIsPinned) {
+  World w;
+  OfficeParams params;
+  params.researchers = 2000;
+  GenerateOffice(params, &w.db);
+  OrderDigests d = DigestAnswerOrder(OfficeOMQ(&w.vocab), w.db);
+  EXPECT_EQ(d.complete.answers, 586u);
+  EXPECT_EQ(d.complete.h, 0xc2939f4719d00e4bULL);
+  EXPECT_EQ(d.partial.answers, 2000u);
+  EXPECT_EQ(d.partial.h, 0xbb8ad98642077439ULL);
+  EXPECT_EQ(d.multi.answers, 2000u);
+  EXPECT_EQ(d.multi.h, 0x160266be992ddebdULL);
+}
+
+TEST(AnswerOrderDigestTest, ChainAnswerOrderIsPinned) {
+  World w;
+  ChainParams params;
+  params.length = 3;
+  params.base_size = 1000;
+  params.fanout = 3;
+  params.anonymous_fraction = 0.2;
+  GenerateChain(params, &w.db);
+  Ontology onto = ChainOntology(&w.vocab, params.length);
+  CQ q = ChainQuery(&w.vocab, params.length);
+  OrderDigests d = DigestAnswerOrder(MakeOMQ(std::move(onto), std::move(q)), w.db);
+  EXPECT_EQ(d.complete.answers, 14307u);
+  EXPECT_EQ(d.complete.h, 0x72718b98709550cdULL);
+  EXPECT_EQ(d.partial.answers, 16042u);
+  EXPECT_EQ(d.partial.h, 0x69653a2d1ef3b788ULL);
+  EXPECT_EQ(d.multi.answers, 16042u);
+  EXPECT_EQ(d.multi.h, 0x57ce61bf26afc44aULL);
 }
 
 }  // namespace
