@@ -41,11 +41,6 @@ class CompleteFirstEnumerator {
     return e;
   }
 
-  /// Copy-on-write counters of the partial side's link overlay.
-  const LinkOverlay::Stats& overlay_stats() const {
-    return partial_->overlay_stats();
-  }
-
   bool Next(ValueTuple* out) {
     ValueTuple t;
     if (!complete_done_) {

@@ -1,171 +1,137 @@
-// Copy-on-write overlay over a prepared query's initial progress-tree link
-// order (the trees(v, h) lists of Prop 5.5).
+// A session's view of a prepared query's initial progress-tree link order
+// (the trees(v, h) lists of Prop 5.5).
 //
 // The paper's ≻db pruning mutates the doubly linked lists during
-// enumeration, so every session needs a private view of the prev/next/alive
-// links and list heads. Copying them eagerly makes opening a session
-// O(#progress trees) — the ROADMAP-flagged spin-up cost that dominates
-// short-lived cursors (a server multiplexing many sessions opens far more
-// cursors than it drains). This overlay makes Attach O(1): reads fall
-// through to the shared immutable initial-order arrays until the first
-// Unlink touches a node, at which point exactly that node's links (and, for
-// a list-head change, that list's head) are materialized in a private hash
-// overlay. A session that never prunes copies nothing; one that prunes k
-// nodes pays O(k) total, never O(#pool).
+// enumeration, so every session needs private prev/next/alive links and
+// list heads. They live in one LinkBuffer of flat arrays over the pool: a
+// node or list whose state byte is 0 is still in the initial order, and its
+// read falls through to the prepared query's shared arrays. Unlink copies
+// an entry the first time it touches it and logs the id, so every read and
+// write is an array access: no hash probe, rehash or bulk copy in Next().
 //
-// Sessions that prune heavily would eventually pay a hash probe per link
-// read; once the overlay holds more than 1/8 of the pool the overlay
-// flattens itself into plain arrays (one O(pool) copy, amortized O(1) by
-// the touches that preceded it) and every later read is an array access —
-// the eager-copy representation, adopted only when the session has proven
-// it will use it.
-//
-// Stats() counts the copied entries so tests can assert the O(1) contract
-// mechanically: after Attach (and after a full walk of an unpruned list)
-// touched_nodes stays 0 regardless of pool size.
+// A buffer costs O(pool) to allocate, so PreparedOMQ recycles them: a
+// session takes a cleared buffer when it opens and hands it back when it
+// closes, and Clear() resets only the logged entries, in O(touched) (a
+// Briggs–Torczon sparse set). stats() counts those entries, so tests can
+// assert mechanically that a session holds nothing at open, whatever the
+// pool size, and that pruning k nodes writes O(k).
 #ifndef OMQE_CORE_LINK_OVERLAY_H_
 #define OMQE_CORE_LINK_OVERLAY_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
-#include "base/flat_hash.h"
-
 namespace omqe {
+
+/// One session's link state over `trees` progress trees in `lists` lists.
+/// The undo logs name every entry whose state byte is set. Every array,
+/// the logs included, is zero-filled here, so no page of the buffer first
+/// faults in, and no log reallocates, inside Next().
+struct LinkBuffer {
+  LinkBuffer(size_t trees, size_t lists)
+      : state(trees), prev(trees), next(trees), head_set(lists), head(lists),
+        touched_ids(trees), touched_lists(lists) {
+    touched_ids.clear();  // empty, with its pages already faulted in
+    touched_lists.clear();
+  }
+
+  /// Returns every logged entry to the initial order, in O(touched).
+  void Clear() {
+    for (uint32_t id : touched_ids) state[id] = 0;
+    for (uint32_t list : touched_lists) head_set[list] = 0;
+    touched_ids.clear();
+    touched_lists.clear();
+  }
+
+  std::vector<uint8_t> state;  // per tree: 0 (initial order), alive or dead
+  std::vector<uint32_t> prev, next;
+  std::vector<uint8_t> head_set;  // per list: `head` overrides the initial one
+  std::vector<uint32_t> head;
+  std::vector<uint32_t> touched_ids, touched_lists;  // the undo logs
+};
 
 class LinkOverlay {
  public:
   struct Stats {
-    size_t touched_nodes = 0;  ///< nodes whose links were copy-on-write'd
-    size_t touched_heads = 0;  ///< lists whose head was copy-on-write'd
-    bool flattened = false;    ///< adopted the flat-array representation
+    size_t touched_nodes = 0;  ///< nodes whose links were copied
+    size_t touched_heads = 0;  ///< lists whose head was copied
   };
 
-  /// Binds the overlay to the shared initial-order arrays. O(1): nothing is
-  /// copied. The arrays must outlive the overlay (the session's shared_ptr
-  /// to the prepared artifact guarantees this).
+  /// Binds the overlay to the shared initial-order arrays and to a cleared
+  /// buffer of their size. O(1): nothing is copied. The arrays must outlive
+  /// the overlay (the session's shared_ptr to the prepared artifact
+  /// guarantees this).
   void Attach(const std::vector<uint32_t>* init_prev,
               const std::vector<uint32_t>* init_next,
-              const std::vector<uint32_t>* init_heads) {
+              const std::vector<uint32_t>* init_heads,
+              std::unique_ptr<LinkBuffer> buffer) {
     init_prev_ = init_prev;
     init_next_ = init_next;
     init_heads_ = init_heads;
+    buf_ = std::move(buffer);
+  }
+
+  /// Clears the buffer in O(touched) and hands it back.
+  std::unique_ptr<LinkBuffer> Detach() {
+    buf_->Clear();
+    return std::move(buf_);
   }
 
   uint32_t next(uint32_t id) const {
-    if (stats_.flattened) return flat_next_[id];
-    const Entry* e = entries_.Find(id);
-    return e != nullptr ? e->next : (*init_next_)[id];
+    return buf_->state[id] == kInitial ? (*init_next_)[id] : buf_->next[id];
   }
-  uint32_t prev(uint32_t id) const {
-    if (stats_.flattened) return flat_prev_[id];
-    const Entry* e = entries_.Find(id);
-    return e != nullptr ? e->prev : (*init_prev_)[id];
-  }
-  bool alive(uint32_t id) const {
-    if (stats_.flattened) return flat_alive_[id] != 0;
-    const Entry* e = entries_.Find(id);
-    return e == nullptr || e->alive;
-  }
+  bool alive(uint32_t id) const { return buf_->state[id] != kDead; }
   uint32_t head(uint32_t list) const {
-    if (stats_.flattened) return flat_heads_[list];
-    const uint32_t* h = heads_.Find(list);
-    return h != nullptr ? *h : (*init_heads_)[list];
+    return buf_->head_set[list] ? buf_->head[list] : (*init_heads_)[list];
   }
 
   /// Removes `id` from `owning_list`: marks it dead and splices its
-  /// neighbors together, copy-on-write'ing only the touched entries. The
-  /// dead node's own prev/next stay frozen so live iterators positioned on
-  /// it can continue past it (the invariant EnumerationSession::Next relies
-  /// on). Idempotent.
+  /// neighbors together, copying only the touched entries. The dead node's
+  /// own next stays frozen so live iterators positioned on it can continue
+  /// past it (the invariant EnumerationSession::Next relies on). Idempotent.
   void Unlink(uint32_t id, uint32_t owning_list) {
-    if (stats_.flattened) {
-      if (!flat_alive_[id]) return;
-      flat_alive_[id] = 0;
-      uint32_t p = flat_prev_[id];
-      uint32_t n = flat_next_[id];
-      if (p != UINT32_MAX) {
-        flat_next_[p] = n;
-      } else {
-        flat_heads_[owning_list] = n;
-      }
-      if (n != UINT32_MAX) flat_prev_[n] = p;
-      return;
-    }
-    {
-      Entry& e = EntryFor(id);
-      if (!e.alive) return;
-      e.alive = 0;
-    }
-    // Re-read after the EntryFor above: neighbor touches below may rehash
-    // the overlay map, so no reference into it survives across them.
-    uint32_t p, n;
-    {
-      const Entry* e = entries_.Find(id);
-      p = e->prev;
-      n = e->next;
-    }
+    LinkBuffer& b = *buf_;
+    if (b.state[id] == kDead) return;
+    Touch(id);
+    b.state[id] = kDead;
+    const uint32_t p = b.prev[id];
+    const uint32_t n = b.next[id];
     if (p != UINT32_MAX) {
-      EntryFor(p).next = n;
+      Touch(p);
+      b.next[p] = n;
     } else {
-      if (heads_.Find(owning_list) == nullptr) ++stats_.touched_heads;
-      heads_.Put(owning_list, n);
+      if (!b.head_set[owning_list]) b.touched_lists.push_back(owning_list);
+      b.head_set[owning_list] = 1;
+      b.head[owning_list] = n;
     }
-    if (n != UINT32_MAX) EntryFor(n).prev = p;
-    // A session this prune-heavy is better served by the eager arrays: one
-    // amortized copy, then every read is an array access again.
-    if (entries_.size() * 8 >= init_next_->size()) Flatten();
+    if (n != UINT32_MAX) {
+      Touch(n);
+      b.prev[n] = p;
+    }
   }
 
-  const Stats& stats() const { return stats_; }
+  Stats stats() const {
+    return Stats{buf_->touched_ids.size(), buf_->touched_lists.size()};
+  }
 
  private:
-  struct Entry {
-    uint32_t prev = UINT32_MAX;
-    uint32_t next = UINT32_MAX;
-    uint8_t alive = 1;
-  };
+  enum : uint8_t { kInitial = 0, kAlive, kDead };
 
-  /// The copy-on-write step: the overlay entry for `id`, materialized from
-  /// the initial order on first touch.
-  Entry& EntryFor(uint32_t id) {
-    Entry* e = entries_.Find(id);
-    if (e != nullptr) return *e;
-    ++stats_.touched_nodes;
-    Entry fresh;
-    fresh.prev = (*init_prev_)[id];
-    fresh.next = (*init_next_)[id];
-    return entries_.InsertOrGet(id, fresh);
-  }
-
-  /// Adopts the flat representation: initial order + overlay replayed.
-  void Flatten() {
-    flat_prev_ = *init_prev_;
-    flat_next_ = *init_next_;
-    flat_heads_ = *init_heads_;
-    flat_alive_.assign(init_next_->size(), 1);
-    entries_.ForEach([this](uint32_t id, const Entry& e) {
-      flat_prev_[id] = e.prev;
-      flat_next_[id] = e.next;
-      flat_alive_[id] = e.alive;
-    });
-    heads_.ForEach(
-        [this](uint32_t list, uint32_t head) { flat_heads_[list] = head; });
-    entries_ = FlatMap<uint32_t, Entry>();
-    heads_ = FlatMap<uint32_t, uint32_t>();
-    stats_.flattened = true;
+  /// The first touch of `id` copies its initial links and logs it.
+  void Touch(uint32_t id) {
+    LinkBuffer& b = *buf_;
+    if (b.state[id] != kInitial) return;
+    b.state[id] = kAlive;
+    b.prev[id] = (*init_prev_)[id];
+    b.next[id] = (*init_next_)[id];
+    b.touched_ids.push_back(id);
   }
 
   const std::vector<uint32_t>* init_prev_ = nullptr;
   const std::vector<uint32_t>* init_next_ = nullptr;
   const std::vector<uint32_t>* init_heads_ = nullptr;
-  FlatMap<uint32_t, Entry> entries_;
-  FlatMap<uint32_t, uint32_t> heads_;
-  std::vector<uint32_t> flat_prev_;
-  std::vector<uint32_t> flat_next_;
-  std::vector<uint32_t> flat_heads_;
-  std::vector<char> flat_alive_;
-  Stats stats_;
+  std::unique_ptr<LinkBuffer> buf_;
 };
 
 }  // namespace omqe

@@ -74,8 +74,6 @@ class MultiWildcardEnumerator {
 
   const ChaseResult& chase() const { return prepared_->chase(); }
   const std::shared_ptr<const PreparedOMQ>& prepared() const { return prepared_; }
-  /// Copy-on-write counters of the A1 session's link overlay.
-  const LinkOverlay::Stats& overlay_stats() const { return a1_.overlay_stats(); }
 
  private:
   explicit MultiWildcardEnumerator(std::shared_ptr<const PreparedOMQ> prepared)

@@ -42,8 +42,6 @@ class PartialEnumerator {
   const ChaseResult& chase() const { return prepared_->chase(); }
   size_t num_progress_trees() const { return prepared_->num_progress_trees(); }
   const std::shared_ptr<const PreparedOMQ>& prepared() const { return prepared_; }
-  /// Copy-on-write counters of the underlying session's link overlay.
-  const LinkOverlay::Stats& overlay_stats() const { return session_.overlay_stats(); }
 
  private:
   explicit PartialEnumerator(std::shared_ptr<const PreparedOMQ> prepared)

@@ -430,6 +430,29 @@ void PreparedOMQ::LinkLists() {
   }
 }
 
+size_t PreparedOMQ::link_buffers_allocated() const {
+  std::lock_guard<std::mutex> lock(buffers_mu_);
+  return buffers_allocated_;
+}
+
+std::unique_ptr<LinkBuffer> PreparedOMQ::TakeLinkBuffer() const {
+  {
+    std::lock_guard<std::mutex> lock(buffers_mu_);
+    if (!free_buffers_.empty()) {
+      std::unique_ptr<LinkBuffer> buffer = std::move(free_buffers_.back());
+      free_buffers_.pop_back();
+      return buffer;
+    }
+    ++buffers_allocated_;
+  }
+  return std::make_unique<LinkBuffer>(pool_.size(), init_list_head_.size());
+}
+
+void PreparedOMQ::ReturnLinkBuffer(std::unique_ptr<LinkBuffer> cleared) const {
+  std::lock_guard<std::mutex> lock(buffers_mu_);
+  free_buffers_.push_back(std::move(cleared));
+}
+
 // ---------------------------------------------------------------------------
 // EnumerationSession: the per-session enumeration phase.
 // ---------------------------------------------------------------------------
@@ -438,11 +461,14 @@ EnumerationSession::EnumerationSession(
     std::shared_ptr<const PreparedOMQ> prepared)
     : prepared_(std::move(prepared)) {
   OMQE_CHECK(prepared_ != nullptr && prepared_->for_partial());
-  // O(1) spin-up: the overlay binds to the shared initial order and copies
-  // a node's links only when pruning first touches it.
   const PreparedOMQ& p = *prepared_;
-  overlay_.Attach(&p.init_prev_, &p.init_next_, &p.init_list_head_);
+  overlay_.Attach(&p.init_prev_, &p.init_next_, &p.init_list_head_,
+                  p.TakeLinkBuffer());
   Reset();
+}
+
+EnumerationSession::~EnumerationSession() {
+  if (prepared_ != nullptr) prepared_->ReturnLinkBuffer(overlay_.Detach());
 }
 
 void EnumerationSession::Reset() {
@@ -521,7 +547,7 @@ void EnumerationSession::Prune() {
 }
 
 bool EnumerationSession::Next(ValueTuple* out) {
-  if (exhausted_) return false;
+  if (exhausted_ || prepared_ == nullptr) return false;  // or moved from
   const PreparedOMQ& p = *prepared_;
   if (p.slots_.empty()) {
     // Boolean query (or one whose components are all Boolean).

@@ -3,18 +3,19 @@
 //
 // PreparedOMQ runs the expensive phase ONCE — query-directed chase, the
 // (q1, D1) normalization(s), slot/subtree construction, and progress-tree
-// collection (Lemma 5.3) — and is immutable afterwards. One prepared query
-// can back any number of concurrent sessions: its chase database is frozen
+// collection (Lemma 5.3) — and is immutable afterwards, save for a locked
+// free list of session link buffers. One prepared query can back any
+// number of concurrent sessions: its chase database is frozen
 // (Database::Freeze), its hash tables are only probed through const
 // lookups, and ownership is shared_ptr so sessions keep it alive.
 //
 // EnumerationSession holds the per-session mutable state of Algorithm 1:
 // the walk stack, the binding h, and — because the paper's ≻db pruning
 // (Prop 5.5) mutates the trees(v, h) lists during enumeration — a private
-// copy-on-write overlay (LinkOverlay) of the prev/next/alive links and list
-// heads over the prepared query's database-preferring order. Creating or
-// resetting a session is O(1): link state is materialized lazily, one node
-// at a time, as pruning touches it. Stepping is constant-delay.
+// view (LinkOverlay) of the prev/next/alive links and list heads over the
+// prepared query's database-preferring order, in a flat link buffer taken
+// from that free list and handed back cleared. Opening (once a buffer is
+// free), resetting and stepping are O(1) in the pool size.
 //
 // CompleteSession is the analogous cursor for complete answers
 // (Theorem 4.1(1)): a TreeWalker over the prepared constants-only
@@ -24,6 +25,7 @@
 
 #include <compare>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "base/flat_hash.h"
@@ -66,6 +68,9 @@ class PreparedOMQ {
   /// The null-keeping normalization (valid when for_partial()).
   const Normalized& partial_norm() const { return partial_norm_; }
   size_t num_progress_trees() const { return pool_.size(); }
+  /// Link buffers allocated for sessions: the most partial sessions ever
+  /// open at once, since closed ones hand theirs back (O(1) OPEN's pin).
+  size_t link_buffers_allocated() const;
 
  private:
   friend class EnumerationSession;
@@ -96,7 +101,7 @@ class PreparedOMQ {
     auto operator<=>(const StarPattern&) const = default;
   };
   /// Immutable payload of one progress tree; the link fields live in the
-  /// initial-order arrays below (and per-session overlays thereafter).
+  /// initial-order arrays below (and per-session link buffers thereafter).
   struct PTree {
     uint32_t subtree;                 // Subtree id
     uint32_t list;                    // owning trees(v, h) list id
@@ -124,6 +129,9 @@ class PreparedOMQ {
   /// Frees construction-only state (mask map, node-to-slot table, scratch
   /// buffers) — the artifact is long-lived and sessions never probe these.
   void ReleaseBuildState();
+  /// A cleared link buffer: a free one, else a new one in O(pool).
+  std::unique_ptr<LinkBuffer> TakeLinkBuffer() const;
+  void ReturnLinkBuffer(std::unique_ptr<LinkBuffer> cleared) const;
 
   CQ query_;
   std::vector<uint32_t> answer_vars_;
@@ -146,11 +154,16 @@ class PreparedOMQ {
   TupleMap<uint32_t> location_;   // [subtree, g...] -> pool id
   TupleMap<uint32_t> list_ids_;   // [root_slot, h|pred...] -> list id
   /// The database-preferring order of every list (Prop 5.5), as doubly
-  /// linked pool ids. Sessions view these through a copy-on-write
-  /// LinkOverlay and prune only their private overlay entries.
+  /// linked pool ids. Sessions view these through a LinkOverlay and prune
+  /// only their own link buffer.
   std::vector<uint32_t> init_prev_;
   std::vector<uint32_t> init_next_;
   std::vector<uint32_t> init_list_head_;
+  /// Cleared link buffers that closed sessions handed back (sessions hold
+  /// the artifact const, so the free list is mutable).
+  mutable std::mutex buffers_mu_;
+  mutable std::vector<std::unique_ptr<LinkBuffer>> free_buffers_;
+  mutable size_t buffers_allocated_ = 0;  // guarded by buffers_mu_
   // Scratch buffers reused across progress-tree collection (no per-row
   // allocation); released by ReleaseBuildState.
   ValueTuple scratch_g_;
@@ -162,17 +175,19 @@ class PreparedOMQ {
 /// One cursor over the minimal partial answers of a prepared query
 /// (Algorithm 1's enumeration phase). Sessions over the same PreparedOMQ
 /// are fully independent: each owns its walk stack, binding, and link
-/// overlay, so any number may run interleaved or on separate threads.
+/// buffer, so any number may run interleaved or on separate threads.
 class EnumerationSession {
  public:
   /// Requires prepared->for_partial(). O(1) in the number of progress
-  /// trees: the link overlay copies nothing until pruning touches a node.
+  /// trees unless every link buffer is in use: then it allocates one.
   explicit EnumerationSession(std::shared_ptr<const PreparedOMQ> prepared);
+  ~EnumerationSession();  // clears the buffer in O(touched), hands it back
+  EnumerationSession(EnumerationSession&&) = default;  // the source is empty
 
   /// Next minimal partial answer; wildcard positions hold kStar.
   bool Next(ValueTuple* out);
 
-  /// Restarts the walk in O(num_vars). The session's pruned overlay is
+  /// Restarts the walk in O(num_vars). The session's pruned link buffer is
   /// reusable (the paper's S' observation: pruned trees are strictly
   /// dominated by an already-output answer and can never contribute a
   /// minimal one), so the same answer set is produced without re-copying
@@ -181,10 +196,10 @@ class EnumerationSession {
 
   const PreparedOMQ& prepared() const { return *prepared_; }
 
-  /// Copy-on-write counters of the session's link overlay. A session that
+  /// Link-buffer entries this session's pruning has copied. A session that
   /// never pruned reports zero touched nodes regardless of pool size —
   /// the mechanical form of the O(1)-open contract (server_test asserts it).
-  const LinkOverlay::Stats& overlay_stats() const { return overlay_.stats(); }
+  LinkOverlay::Stats overlay_stats() const { return overlay_.stats(); }
 
   /// Location-table probes the ≻db pruning has made since the session was
   /// created. One probe per recorded star pattern that strictly contains an
@@ -212,7 +227,7 @@ class EnumerationSession {
 
   std::shared_ptr<const PreparedOMQ> prepared_;
 
-  // Copy-on-write view of the linked-list state the ≻db pruning mutates.
+  // The session's view of the linked-list state the ≻db pruning mutates.
   LinkOverlay overlay_;
 
   // Walk state.

@@ -5,9 +5,9 @@
 // CompleteSession (complete answers) plus serving state: a per-session
 // row budget, a last-use timestamp for idle reaping, and a private mutex
 // so two connections fetching on the same id serialize instead of racing.
-// Opening a session is O(1) — the core link overlay is copy-on-write, so
-// spin-up no longer scales with the prepared query's progress-tree count
-// (server_test asserts this through LinkOverlay::Stats).
+// Opening a session is O(1) — it reuses a link buffer a closed session
+// handed back, so spin-up does not scale with the progress-tree count
+// (server_test asserts this through PreparedOMQ::link_buffers_allocated).
 //
 // Concurrency: the sid -> session map is one unordered_map guarded by one
 // CountedMutex. Lookup — and therefore every Fetch/Reset/OverlayStats —
@@ -16,9 +16,9 @@
 // lock per call, never one per answer (server_test pins this). Writers
 // (Open/Close/ReapIdle/CloseAll) change the map under the same lock. Closing
 // moves the session's reference out under the lock and drops it after the
-// lock is released, so a session destructor (possibly the last reference to
-// an overlay or a PreparedOMQ) never runs under a lock. Sids are never
-// reused.
+// lock is released, so a session destructor (which returns its link buffer,
+// possibly to the last reference to a PreparedOMQ) never runs under a lock.
+// Sids are never reused.
 #ifndef OMQE_SERVER_SESSION_MANAGER_H_
 #define OMQE_SERVER_SESSION_MANAGER_H_
 
@@ -102,8 +102,9 @@ class SessionManager {
   /// fetches finish on their shared_ptr references as usual.
   size_t CloseAll();
 
-  /// Copy-on-write counters of a live partial session's link overlay
-  /// (server_test's O(1)-open assertion). Null stats for unknown/complete.
+  /// Link-buffer counters of a live partial session (server_test's
+  /// O(1)-open assertion). NotFound for an unknown sid, InvalidArgument for
+  /// a complete session.
   StatusOr<LinkOverlay::Stats> OverlayStats(uint64_t sid) const;
 
   size_t live_sessions() const;

@@ -3,6 +3,7 @@
 #include "core/baseline.h"
 #include "core/omq.h"
 #include "core/partial_enum.h"
+#include "core/prepared.h"
 #include "test_util.h"
 #include "workload/chains.h"
 #include "workload/office.h"
@@ -235,6 +236,61 @@ TEST(PartialEnumTest, PruneProbesPerRowOnOffice) {
   double probes = ProbesPerRow(OfficeOMQ(&vocab), db);
   EXPECT_GT(probes, 0.0);
   EXPECT_LE(probes, 1.1);
+}
+
+// The per-answer link work, as a count rather than a timer. An Unlink
+// follows one location probe and copies at most three entries into the
+// session's link buffer: the node, its successor, and its predecessor or
+// its list's head. So no Next() copies more than three entries per probe it
+// made, and the largest step does not grow with the data. Nothing is copied
+// in bulk either: after a full drain the buffer holds exactly the nodes
+// pruning touched, however large a share of the pool that is.
+struct LinkWrites {
+  size_t max_step = 0;     // most entries one Next() copied
+  size_t over_bound = 0;   // steps that copied more than 3 per probe
+  size_t touched_nodes = 0;
+  size_t trees = 0;
+};
+
+LinkWrites DrainOfficeCountingLinkWrites(uint32_t researchers) {
+  Vocabulary vocab;
+  Database db(&vocab);
+  OfficeParams params;
+  params.researchers = researchers;
+  GenerateOffice(params, &db);
+  auto prepared = PreparedOMQ::Prepare(OfficeOMQ(&vocab), db);
+  EXPECT_TRUE(prepared.ok()) << prepared.status().ToString();
+  LinkWrites w;
+  if (!prepared.ok()) return w;
+  EnumerationSession session(*prepared);
+  ValueTuple t;
+  size_t copied = 0;
+  uint64_t probes = 0;
+  for (bool more = true; more;) {
+    more = session.Next(&t);
+    const LinkOverlay::Stats stats = session.overlay_stats();
+    const size_t now = stats.touched_nodes + stats.touched_heads;
+    const size_t step = now - copied;
+    if (step > 3 * (session.location_probes() - probes)) ++w.over_bound;
+    w.max_step = std::max(w.max_step, step);
+    copied = now;
+    probes = session.location_probes();
+  }
+  w.touched_nodes = session.overlay_stats().touched_nodes;
+  w.trees = (*prepared)->num_progress_trees();
+  return w;
+}
+
+TEST(PartialEnumTest, LinkWritesPerStepStayConstant) {
+  LinkWrites small = DrainOfficeCountingLinkWrites(1000);
+  LinkWrites large = DrainOfficeCountingLinkWrites(16000);
+  EXPECT_EQ(small.over_bound, 0u);
+  EXPECT_EQ(large.over_bound, 0u);
+  EXPECT_GT(small.max_step, 0u);
+  EXPECT_EQ(small.max_step, large.max_step);
+  // The true count of pruned nodes: 61 % of the pool here.
+  EXPECT_EQ(small.trees, 2486u);
+  EXPECT_EQ(small.touched_nodes, 1518u);
 }
 
 }  // namespace

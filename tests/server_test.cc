@@ -472,9 +472,11 @@ TEST(ServerTest, BackgroundReaperClosesIdleSessions) {
   EXPECT_TRUE(server::IsError(client.Roundtrip("FETCH 1 1")));
 }
 
-// The acceptance contract: opening a session is O(1) — the overlay copies
-// nothing at open, no matter how many progress trees the prepared query
-// has, and a drained cursor has touched at most what pruning required.
+// The acceptance contract: opening a session is O(1) — the link buffer it
+// takes holds nothing at open, no matter how many progress trees the
+// prepared query has, a drained cursor has touched at most what pruning
+// required, and a closed session's buffer serves the next OPEN instead of a
+// new O(pool) allocation.
 TEST(ServerTest, SessionOpenIsO1InProgressTreeCount) {
   for (uint32_t scale : {50u, 2000u}) {
     World w;
@@ -518,6 +520,43 @@ TEST(ServerTest, SessionOpenIsO1InProgressTreeCount) {
     EXPECT_LE(after->touched_nodes, (*prepared)->num_progress_trees());
     EXPECT_TRUE(SameTupleSet(
         rows, BruteMinimalPartialAnswers(omq.query, (*prepared)->chase().db)));
+
+    // CLOSE clears the pruned buffer and hands it back: the next OPEN on the
+    // same artifact starts from the initial order and drains the same set.
+    ASSERT_TRUE(manager.Close(*sid).ok());
+    auto again = manager.Open(*prepared, /*complete=*/false);
+    ASSERT_TRUE(again.ok());
+    auto reopened = manager.OverlayStats(*again);
+    ASSERT_TRUE(reopened.ok());
+    EXPECT_EQ(reopened->touched_nodes, 0u) << "scale " << scale;
+    EXPECT_EQ(reopened->touched_heads, 0u) << "scale " << scale;
+    std::vector<ValueTuple> rows_again;
+    done = false;
+    while (!done) {
+      ASSERT_TRUE(manager.Fetch(*again, 64, &rows_again, &done).ok());
+    }
+    EXPECT_TRUE(SameTupleSet(rows_again, rows)) << "scale " << scale;
+    ASSERT_TRUE(manager.Close(*again).ok());
+
+    // Sequential sessions share one buffer however many there are ...
+    for (int i = 0; i < 100; ++i) {
+      auto churn = manager.Open(*prepared, /*complete=*/false);
+      ASSERT_TRUE(churn.ok());
+      std::vector<ValueTuple> one;
+      ASSERT_TRUE(manager.Fetch(*churn, 1, &one, &done).ok());
+      ASSERT_TRUE(manager.Close(*churn).ok());
+    }
+    EXPECT_EQ((*prepared)->link_buffers_allocated(), 1u) << "scale " << scale;
+    // ... and N concurrently open ones hold N.
+    constexpr size_t kOpen = 4;
+    std::vector<uint64_t> open;
+    for (size_t i = 0; i < kOpen; ++i) {
+      auto live = manager.Open(*prepared, /*complete=*/false);
+      ASSERT_TRUE(live.ok());
+      open.push_back(*live);
+    }
+    EXPECT_EQ((*prepared)->link_buffers_allocated(), kOpen) << "scale " << scale;
+    for (uint64_t live : open) ASSERT_TRUE(manager.Close(live).ok());
   }
 }
 
