@@ -1,4 +1,4 @@
-// E13 (ablation): the design choices DESIGN.md calls out.
+// E13 (ablation): two design choices of the chase.
 //  (a) Null-depth cap of the query-directed chase: cost of extra depth vs.
 //      the adaptive stop (the paper's cl(Q)-construction corresponds to a
 //      depth "deep enough"; adaptivity buys exactness at minimal cost).

@@ -20,7 +20,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
-#include <type_traits>
 #include <vector>
 
 #include "base/hash.h"
@@ -164,12 +163,11 @@ class OpenTable<Keys, V, KeyArgs<A...>> {
     vals_[i] = v;
   }
 
-  /// Visits every (key, value) in slot order. Integral keys only.
+  /// Visits every stored value in slot order, to rewrite it in place.
   template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    static_assert(std::is_integral_v<Slot>, "ForEach visits integral keys only");
+  void ForEachValue(Fn&& fn) {
     for (size_t i = 0; i < slots_.size(); ++i) {
-      if (!Keys::Empty(slots_[i])) fn(slots_[i], vals_[i]);
+      if (!Keys::Empty(slots_[i])) fn(vals_[i]);
     }
   }
 

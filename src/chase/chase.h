@@ -12,7 +12,8 @@
 // (Prop 3.3): enough of the chase to preserve all (partial) answers of q.
 // QueryDirectedChase() in query_directed.h computes the cap adaptively so
 // that (a) the database part (facts without nulls) is saturated and (b) the
-// null part is deeper than any excursion q can make (see DESIGN.md §2.2).
+// null part is deeper than any excursion q can make (query_directed.h says
+// how deep).
 //
 // Source tracking. Every fact containing a null is assigned to a *block*
 // rooted at the null-free guard fact of the application that first left the

@@ -5,8 +5,9 @@
 // saturated adaptively — the null-depth cap is raised until an extra level
 // derives no new database-part fact — and the null part is kept at least
 // max(|var(q)|, #atoms(q)) + extra_depth levels deep, which bounds any
-// excursion of (a subtree of) q into the null part. See DESIGN.md §2.2 for
-// the exactness discussion.
+// excursion of (a subtree of) q into the null part. That depth stands in for
+// the paper's finite construction of ch_q^O(D) (Prop 3.3, Appendix A.2);
+// E13a (bench_ablation) measures what depth beyond it costs.
 #ifndef OMQE_CHASE_QUERY_DIRECTED_H_
 #define OMQE_CHASE_QUERY_DIRECTED_H_
 

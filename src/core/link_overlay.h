@@ -1,13 +1,18 @@
-// A session's view of a prepared query's initial progress-tree link order
-// (the trees(v, h) lists of Prop 5.5).
+// A session's view of a prepared query's progress-tree lists (the
+// trees(v, h) lists of Prop 5.5).
 //
-// The paper's ≻db pruning mutates the doubly linked lists during
-// enumeration, so every session needs private prev/next/alive links and
-// list heads. They live in one LinkBuffer of flat arrays over the pool: a
-// node or list whose state byte is 0 is still in the initial order, and its
-// read falls through to the prepared query's shared arrays. Unlink copies
-// an entry the first time it touches it and logs the id, so every read and
-// write is an array access: no hash probe, rehash or bulk copy in Next().
+// The prepared query lays its pool out in list order: list l is the ids
+// list_begin[l] up to list_begin[l + 1], sorted database-preferring. That
+// layout is the initial order, so a node still in it has no stored links:
+// its next is id + 1 until its list's end, its prev id - 1 after its list's
+// begin. A list's first tree is never pruned (the proof is on
+// PreparedOMQ::LinkLists), so no list head is stored either.
+//
+// The paper's ≻db pruning mutates the lists during enumeration, so every
+// session keeps private prev/next/alive links, in one LinkBuffer of flat
+// per-tree arrays. Unlink copies a node the first time it touches it and
+// logs the id, so every read and write is an array access: no hash probe,
+// rehash or bulk copy in Next().
 //
 // A buffer costs O(pool) to allocate, so PreparedOMQ recycles them: a
 // session takes a cleared buffer when it opens and hands it back when it
@@ -22,53 +27,44 @@
 #include <memory>
 #include <vector>
 
+#include "base/status.h"
+
 namespace omqe {
 
-/// One session's link state over `trees` progress trees in `lists` lists.
-/// The undo logs name every entry whose state byte is set. Every array,
-/// the logs included, is zero-filled here, so no page of the buffer first
-/// faults in, and no log reallocates, inside Next().
+/// One session's link state over `trees` progress trees. The undo log names
+/// every tree whose state byte is set. Every array, the log included, is
+/// zero-filled here, so no page of the buffer first faults in, and the log
+/// never reallocates, inside Next().
 struct LinkBuffer {
-  LinkBuffer(size_t trees, size_t lists)
-      : state(trees), prev(trees), next(trees), head_set(lists), head(lists),
-        touched_ids(trees), touched_lists(lists) {
+  explicit LinkBuffer(size_t trees)
+      : state(trees), prev(trees), next(trees), touched_ids(trees) {
     touched_ids.clear();  // empty, with its pages already faulted in
-    touched_lists.clear();
   }
 
   /// Returns every logged entry to the initial order, in O(touched).
   void Clear() {
     for (uint32_t id : touched_ids) state[id] = 0;
-    for (uint32_t list : touched_lists) head_set[list] = 0;
     touched_ids.clear();
-    touched_lists.clear();
   }
 
   std::vector<uint8_t> state;  // per tree: 0 (initial order), alive or dead
   std::vector<uint32_t> prev, next;
-  std::vector<uint8_t> head_set;  // per list: `head` overrides the initial one
-  std::vector<uint32_t> head;
-  std::vector<uint32_t> touched_ids, touched_lists;  // the undo logs
+  std::vector<uint32_t> touched_ids;  // the undo log
 };
 
 class LinkOverlay {
  public:
   struct Stats {
     size_t touched_nodes = 0;  ///< nodes whose links were copied
-    size_t touched_heads = 0;  ///< lists whose head was copied
   };
 
-  /// Binds the overlay to the shared initial-order arrays and to a cleared
-  /// buffer of their size. O(1): nothing is copied. The arrays must outlive
-  /// the overlay (the session's shared_ptr to the prepared artifact
-  /// guarantees this).
-  void Attach(const std::vector<uint32_t>* init_prev,
-              const std::vector<uint32_t>* init_next,
-              const std::vector<uint32_t>* init_heads,
+  /// Binds the overlay to the prepared query's list offsets and to a
+  /// cleared buffer of its pool's size. O(1): nothing is copied. The offsets
+  /// must outlive the overlay (the session's shared_ptr to the prepared
+  /// artifact guarantees this).
+  void Attach(const std::vector<uint32_t>* list_begin,
               std::unique_ptr<LinkBuffer> buffer) {
-    init_prev_ = init_prev;
-    init_next_ = init_next;
-    init_heads_ = init_heads;
+    list_begin_ = list_begin;
     buf_ = std::move(buffer);
   }
 
@@ -78,59 +74,56 @@ class LinkOverlay {
     return std::move(buf_);
   }
 
-  uint32_t next(uint32_t id) const {
-    return buf_->state[id] == kInitial ? (*init_next_)[id] : buf_->next[id];
+  /// The successor of `id` in its list `list`, or UINT32_MAX at the end.
+  uint32_t next(uint32_t id, uint32_t list) const {
+    return buf_->state[id] == kInitial ? InitialNext(id, list) : buf_->next[id];
   }
   bool alive(uint32_t id) const { return buf_->state[id] != kDead; }
-  uint32_t head(uint32_t list) const {
-    return buf_->head_set[list] ? buf_->head[list] : (*init_heads_)[list];
-  }
 
-  /// Removes `id` from `owning_list`: marks it dead and splices its
+  /// Removes `id` from its list `list`: marks it dead and splices its
   /// neighbors together, copying only the touched entries. The dead node's
   /// own next stays frozen so live iterators positioned on it can continue
   /// past it (the invariant EnumerationSession::Next relies on). Idempotent.
-  void Unlink(uint32_t id, uint32_t owning_list) {
+  /// A list's first tree is never pruned, so `id` always has a predecessor.
+  void Unlink(uint32_t id, uint32_t list) {
     LinkBuffer& b = *buf_;
     if (b.state[id] == kDead) return;
-    Touch(id);
+    Touch(id, list);
     b.state[id] = kDead;
     const uint32_t p = b.prev[id];
     const uint32_t n = b.next[id];
-    if (p != UINT32_MAX) {
-      Touch(p);
-      b.next[p] = n;
-    } else {
-      if (!b.head_set[owning_list]) b.touched_lists.push_back(owning_list);
-      b.head_set[owning_list] = 1;
-      b.head[owning_list] = n;
-    }
+    OMQE_CHECK(p != UINT32_MAX);
+    Touch(p, list);
+    b.next[p] = n;
     if (n != UINT32_MAX) {
-      Touch(n);
+      Touch(n, list);
       b.prev[n] = p;
     }
   }
 
+  /// A moved-from overlay holds no buffer and reads zero.
   Stats stats() const {
-    return Stats{buf_->touched_ids.size(), buf_->touched_lists.size()};
+    return buf_ == nullptr ? Stats{} : Stats{buf_->touched_ids.size()};
   }
 
  private:
   enum : uint8_t { kInitial = 0, kAlive, kDead };
 
+  uint32_t InitialNext(uint32_t id, uint32_t list) const {
+    return id + 1 < (*list_begin_)[list + 1] ? id + 1 : UINT32_MAX;
+  }
+
   /// The first touch of `id` copies its initial links and logs it.
-  void Touch(uint32_t id) {
+  void Touch(uint32_t id, uint32_t list) {
     LinkBuffer& b = *buf_;
     if (b.state[id] != kInitial) return;
     b.state[id] = kAlive;
-    b.prev[id] = (*init_prev_)[id];
-    b.next[id] = (*init_next_)[id];
+    b.prev[id] = id > (*list_begin_)[list] ? id - 1 : UINT32_MAX;
+    b.next[id] = InitialNext(id, list);
     b.touched_ids.push_back(id);
   }
 
-  const std::vector<uint32_t>* init_prev_ = nullptr;
-  const std::vector<uint32_t>* init_next_ = nullptr;
-  const std::vector<uint32_t>* init_heads_ = nullptr;
+  const std::vector<uint32_t>* list_begin_ = nullptr;
   std::unique_ptr<LinkBuffer> buf_;
 };
 

@@ -9,8 +9,10 @@
 //        candidate? Implemented per wildcard *pattern* (constantly many)
 //        by merging same-wildcard answer variables and searching for a
 //        homomorphism whose class values are pairwise distinct nulls;
-//        results are memoized per candidate (see DESIGN.md on the A2
-//        substitution).
+//        results are memoized per candidate. The search is the oracle's
+//        backtracking HomSearch, so this A2 lacks the constant-time test
+//        that Theorem 6.1's delay bound assumes (ROADMAP.md, "Multi-wildcard
+//        enumeration at Theorem 6.1's bound").
 //
 // For every minimal single-wildcard answer ā*, the candidates in the
 // multi-wildcard cone of ā* are tested and buffered in the list L (with the

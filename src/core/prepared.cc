@@ -241,11 +241,8 @@ void PreparedOMQ::CommitTree(uint32_t subtree, int root_slot, const Value* g,
   list_key.clear();
   list_key.push_back(static_cast<uint32_t>(root_slot));
   for (uint32_t i = 0; i < pred_len; ++i) list_key.push_back(pred_vals[i]);
-  uint32_t fresh_list = static_cast<uint32_t>(init_list_head_.size());
-  uint32_t& list_id =
-      list_ids_.InsertOrGet(list_key.data(), list_key.size(), fresh_list);
-  if (list_id == fresh_list) init_list_head_.push_back(UINT32_MAX);
-  tree.list = list_id;
+  tree.list = list_ids_.InsertOrGet(list_key.data(), list_key.size(),
+                                    static_cast<uint32_t>(list_ids_.size()));
   pool_.push_back(std::move(tree));
 }
 
@@ -340,10 +337,11 @@ void PreparedOMQ::CollectFromRow(int slot, uint32_t row) {
 }
 
 void PreparedOMQ::CollectProgressTrees() {
-  // Pre-size the side tables from the total row count: every database row
-  // contributes at most one single-atom progress tree and the location/list
-  // keys carry the row values, so one up-front sizing covers the bulk of the
-  // inserts (null excursions add a small remainder that grows normally).
+  // Prune's location probes mostly miss, and a miss scans to the next empty
+  // slot, so the location table is sized from the total row count (every
+  // database row contributes at most one single-atom progress tree, keyed by
+  // the row's values): sparser than growth alone would leave it. The pool
+  // and the list table grow to their real size.
   size_t total_rows = 0;
   size_t total_key_words = 0;
   for (const Slot& slot : slots_) {
@@ -353,9 +351,6 @@ void PreparedOMQ::CollectProgressTrees() {
         static_cast<size_t>(node.rel.NumRows()) * (1 + node.rel.width());
   }
   location_.Reserve(total_rows, total_key_words);
-  list_ids_.Reserve(total_rows, total_key_words);
-  pool_.reserve(total_rows);
-  init_list_head_.reserve(total_rows);
 
   for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
     const Slot& slot = slots_[s];
@@ -396,37 +391,70 @@ void PreparedOMQ::CollectProgressTrees() {
   star_patterns_.shrink_to_fit();
 }
 
+// Lays the pool out in list order: list l becomes the ids list_begin_[l] up
+// to list_begin_[l + 1], sorted database-preferring (Prop 5.5). The layout
+// is each list's initial order, so sessions store links only for trees
+// their pruning touches, and no list heads at all: a list's first tree is
+// never pruned. Prune unlinks (q, g'), rooted at v, after an output h only
+// when g' equals h off a variable set S, is starred on S, and S strictly
+// contains h's stars on var(q). g' binds v's predecessor variables to
+// constants (condition (1)), so h has the same values there, and (q, g')
+// sits in the list trees(v, h|pred).
+//  (a) h binds v's variables to a null-free row. That row's single-atom
+//      tree has no stars and is in this list. The order below sorts by
+//      subtree size, then star count, so the list's first tree has no
+//      stars, and a tree without stars is never pruned.
+//  (b) That row has a null, so it roots an excursion: CollectFromRow puts
+//      (q_h, h|var(q_h)) into the same list, where q_h is the subtree that
+//      h's nulls force from v. Every child that h forces, g' forces too,
+//      because h's stars on var(q) lie inside S. So q_h ⊆ q, and
+//      (q_h, h|var(q_h)) has fewer stars than |S|: it sorts before (q, g').
+// LinkOverlay::Unlink checks this.
 void PreparedOMQ::LinkLists() {
-  // Group pool ids per list, sort in database-preferring order, link into
-  // the initial-order arrays sessions start from.
-  init_prev_.assign(pool_.size(), UINT32_MAX);
-  init_next_.assign(pool_.size(), UINT32_MAX);
-  std::vector<std::vector<uint32_t>> per_list(init_list_head_.size());
-  for (uint32_t id = 0; id < pool_.size(); ++id) {
-    per_list[pool_[id].list].push_back(id);
+  // Counting sort of the pool ids by list: order[new id] = old id.
+  const size_t lists = list_ids_.size();
+  list_begin_.assign(lists + 1, 0);
+  for (const PTree& t : pool_) ++list_begin_[t.list + 1];
+  for (size_t l = 0; l < lists; ++l) list_begin_[l + 1] += list_begin_[l];
+  std::vector<uint32_t> order(pool_.size());
+  {
+    std::vector<uint32_t> fill(list_begin_.begin(), list_begin_.end() - 1);
+    for (uint32_t id = 0; id < pool_.size(); ++id) {
+      order[fill[pool_[id].list]++] = id;
+    }
   }
   auto stars = [&](const PTree& t) {
     uint32_t n = 0;
     for (Value v : t.g) n += (v == kStar);
     return n;
   };
-  for (auto& ids : per_list) {
-    std::sort(ids.begin(), ids.end(), [&](uint32_t a, uint32_t b) {
-      const PTree& ta = pool_[a];
-      const PTree& tb = pool_[b];
-      int pa = __builtin_popcountll(subtrees_[ta.subtree].mask);
-      int pb = __builtin_popcountll(subtrees_[tb.subtree].mask);
-      if (pa != pb) return pa < pb;                       // V_q ⊊ V_q' first
-      uint32_t sa = stars(ta), sb = stars(tb);
-      if (sa != sb) return sa < sb;                       // fewer wildcards first
-      if (ta.subtree != tb.subtree) return ta.subtree < tb.subtree;
-      return ta.g < tb.g;                                 // deterministic tie-break
-    });
-    for (size_t i = 0; i < ids.size(); ++i) {
-      init_prev_[ids[i]] = (i == 0) ? UINT32_MAX : ids[i - 1];
-      init_next_[ids[i]] = (i + 1 == ids.size()) ? UINT32_MAX : ids[i + 1];
+  auto before = [&](uint32_t a, uint32_t b) {
+    const PTree& ta = pool_[a];
+    const PTree& tb = pool_[b];
+    int pa = __builtin_popcountll(subtrees_[ta.subtree].mask);
+    int pb = __builtin_popcountll(subtrees_[tb.subtree].mask);
+    if (pa != pb) return pa < pb;                       // V_q ⊊ V_q' first
+    uint32_t sa = stars(ta), sb = stars(tb);
+    if (sa != sb) return sa < sb;                       // fewer wildcards first
+    if (ta.subtree != tb.subtree) return ta.subtree < tb.subtree;
+    return ta.g < tb.g;                                 // deterministic tie-break
+  };
+  for (size_t l = 0; l < lists; ++l) {
+    std::sort(order.begin() + list_begin_[l],
+              order.begin() + list_begin_[l + 1], before);
+  }
+  std::vector<uint32_t> renumber(pool_.size());  // old id -> new id
+  for (uint32_t id = 0; id < order.size(); ++id) renumber[order[id]] = id;
+  order = {};
+  location_.ForEachValue([&](uint32_t& id) { id = renumber[id]; });
+  // Permute in place, cycle by cycle: each swap puts one tree at its new id
+  // (a gather into a second pool would hold two pools at once).
+  for (uint32_t id = 0; id < pool_.size(); ++id) {
+    while (renumber[id] != id) {
+      const uint32_t to = renumber[id];
+      std::swap(pool_[id], pool_[to]);
+      std::swap(renumber[id], renumber[to]);
     }
-    if (!ids.empty()) init_list_head_[pool_[ids[0]].list] = ids[0];
   }
 }
 
@@ -445,7 +473,7 @@ std::unique_ptr<LinkBuffer> PreparedOMQ::TakeLinkBuffer() const {
     }
     ++buffers_allocated_;
   }
-  return std::make_unique<LinkBuffer>(pool_.size(), init_list_head_.size());
+  return std::make_unique<LinkBuffer>(pool_.size());
 }
 
 void PreparedOMQ::ReturnLinkBuffer(std::unique_ptr<LinkBuffer> cleared) const {
@@ -462,8 +490,7 @@ EnumerationSession::EnumerationSession(
     : prepared_(std::move(prepared)) {
   OMQE_CHECK(prepared_ != nullptr && prepared_->for_partial());
   const PreparedOMQ& p = *prepared_;
-  overlay_.Attach(&p.init_prev_, &p.init_next_, &p.init_list_head_,
-                  p.TakeLinkBuffer());
+  overlay_.Attach(&p.list_begin_, p.TakeLinkBuffer());
   Reset();
 }
 
@@ -472,6 +499,7 @@ EnumerationSession::~EnumerationSession() {
 }
 
 void EnumerationSession::Reset() {
+  if (prepared_ == nullptr) return;  // moved from
   const PreparedOMQ& p = *prepared_;
   h_.assign(p.num_vars_, kNoValue);
   stack_.clear();
@@ -490,17 +518,21 @@ int EnumerationSession::NextAtom(int after) const {
   return -1;
 }
 
-uint32_t EnumerationSession::ListHeadFor(int slot) {
+uint32_t EnumerationSession::ListHeadFor(Frame* frame) {
   key_.clear();
-  key_.push_back(static_cast<uint32_t>(slot));
-  for (uint32_t pv : prepared_->slots_[slot].pred_vars) key_.push_back(h_[pv]);
-  const uint32_t* id = prepared_->list_ids_.Find(key_.data(), key_.size());
-  if (id == nullptr) return UINT32_MAX;
-  return overlay_.head(*id);
+  key_.push_back(static_cast<uint32_t>(frame->slot));
+  for (uint32_t pv : prepared_->slots_[frame->slot].pred_vars) {
+    key_.push_back(h_[pv]);
+  }
+  const uint32_t* list = prepared_->list_ids_.Find(key_.data(), key_.size());
+  if (list == nullptr) return UINT32_MAX;
+  frame->list = *list;
+  return prepared_->list_begin_[*list];
 }
 
-uint32_t EnumerationSession::AdvanceSkippingDead(uint32_t id) const {
-  while (id != UINT32_MAX && !overlay_.alive(id)) id = overlay_.next(id);
+uint32_t EnumerationSession::AdvanceSkippingDead(uint32_t id,
+                                                 uint32_t list) const {
+  while (id != UINT32_MAX && !overlay_.alive(id)) id = overlay_.next(id, list);
   return id;
 }
 
@@ -563,14 +595,14 @@ bool EnumerationSession::Next(ValueTuple* out) {
     started_ = true;
     int first = NextAtom(-1);
     OMQE_CHECK(first >= 0);
-    stack_.push_back(Frame{first, UINT32_MAX, true, {}});
+    stack_.push_back(Frame{first, 0, UINT32_MAX, {}});
   }
   while (!stack_.empty()) {
     Frame& f = stack_.back();
     UnbindTree(&f);
-    uint32_t nxt = f.fresh ? ListHeadFor(f.slot) : overlay_.next(f.cur);
-    f.fresh = false;
-    nxt = AdvanceSkippingDead(nxt);
+    uint32_t nxt = f.cur == UINT32_MAX ? ListHeadFor(&f)
+                                       : overlay_.next(f.cur, f.list);
+    nxt = AdvanceSkippingDead(nxt, f.list);
     if (nxt == UINT32_MAX) {
       stack_.pop_back();
       continue;
@@ -584,7 +616,7 @@ bool EnumerationSession::Next(ValueTuple* out) {
       Prune();
       return true;
     }
-    stack_.push_back(Frame{next_slot, UINT32_MAX, true, {}});
+    stack_.push_back(Frame{next_slot, 0, UINT32_MAX, {}});
   }
   exhausted_ = true;
   return false;

@@ -12,10 +12,10 @@
 // EnumerationSession holds the per-session mutable state of Algorithm 1:
 // the walk stack, the binding h, and — because the paper's ≻db pruning
 // (Prop 5.5) mutates the trees(v, h) lists during enumeration — a private
-// view (LinkOverlay) of the prev/next/alive links and list heads over the
-// prepared query's database-preferring order, in a flat link buffer taken
-// from that free list and handed back cleared. Opening (once a buffer is
-// free), resetting and stepping are O(1) in the pool size.
+// view (LinkOverlay) of the prev/next/alive links over the pool, which is
+// laid out list by list in the database-preferring order, in a flat link
+// buffer taken from that free list and handed back cleared. Opening (once a
+// buffer is free), resetting and stepping are O(1) in the pool size.
 //
 // CompleteSession is the analogous cursor for complete answers
 // (Theorem 4.1(1)): a TreeWalker over the prepared constants-only
@@ -60,7 +60,6 @@ class PreparedOMQ {
   const std::vector<uint32_t>& answer_vars() const { return answer_vars_; }
   uint32_t num_vars() const { return num_vars_; }
   const ChaseResult& chase() const { return *chase_; }
-  const std::shared_ptr<const ChaseResult>& shared_chase() const { return chase_; }
   bool for_complete() const { return for_complete_; }
   bool for_partial() const { return for_partial_; }
   /// The constants-only normalization (valid when for_complete()).
@@ -100,8 +99,8 @@ class PreparedOMQ {
     VarSet stars;
     auto operator<=>(const StarPattern&) const = default;
   };
-  /// Immutable payload of one progress tree; the link fields live in the
-  /// initial-order arrays below (and per-session link buffers thereafter).
+  /// Immutable payload of one progress tree. Its links are implicit in the
+  /// pool's list order (and in per-session link buffers once pruned).
   struct PTree {
     uint32_t subtree;                 // Subtree id
     uint32_t list;                    // owning trees(v, h) list id
@@ -118,6 +117,8 @@ class PreparedOMQ {
   void BuildSubtrees();
   void CollectProgressTrees();
   void CollectFromRow(int slot, uint32_t row);
+  /// Lays the pool out in list order; see the proof in prepared.cc that a
+  /// list's first tree is never pruned.
   void LinkLists();
   uint32_t SubtreeIdFor(uint64_t mask, int root_slot);
   void AddProgressTree(uint32_t subtree, const std::vector<Value>& hom);
@@ -146,19 +147,16 @@ class PreparedOMQ {
   std::vector<std::vector<int>> node_to_slot_;  // build-only: [tree][node] -> slot
   std::vector<Subtree> subtrees_;
   FlatMap<uint64_t, uint32_t> subtree_by_mask_;  // build-only
+  /// In list order after LinkLists: list l is the pool ids list_begin_[l]
+  /// up to list_begin_[l + 1], in the database-preferring order of Prop 5.5.
   std::vector<PTree> pool_;
+  std::vector<uint32_t> list_begin_;  // one entry per list, plus the end
   /// Every distinct non-empty star pattern of the pool, sorted by
   /// (subtree, stars). Trees without wildcards need no entry: a ≻db probe
   /// always stars at least one variable.
   std::vector<StarPattern> star_patterns_;
   TupleMap<uint32_t> location_;   // [subtree, g...] -> pool id
   TupleMap<uint32_t> list_ids_;   // [root_slot, h|pred...] -> list id
-  /// The database-preferring order of every list (Prop 5.5), as doubly
-  /// linked pool ids. Sessions view these through a LinkOverlay and prune
-  /// only their own link buffer.
-  std::vector<uint32_t> init_prev_;
-  std::vector<uint32_t> init_next_;
-  std::vector<uint32_t> init_list_head_;
   /// Cleared link buffers that closed sessions handed back (sessions hold
   /// the artifact const, so the free list is mutable).
   mutable std::mutex buffers_mu_;
@@ -191,7 +189,7 @@ class EnumerationSession {
   /// reusable (the paper's S' observation: pruned trees are strictly
   /// dominated by an already-output answer and can never contribute a
   /// minimal one), so the same answer set is produced without re-copying
-  /// the lists.
+  /// the lists. A moved-from session stays empty.
   void Reset();
 
   const PreparedOMQ& prepared() const { return *prepared_; }
@@ -199,6 +197,7 @@ class EnumerationSession {
   /// Link-buffer entries this session's pruning has copied. A session that
   /// never pruned reports zero touched nodes regardless of pool size —
   /// the mechanical form of the O(1)-open contract (server_test asserts it).
+  /// A moved-from session reads zero.
   LinkOverlay::Stats overlay_stats() const { return overlay_.stats(); }
 
   /// Location-table probes the ≻db pruning has made since the session was
@@ -209,8 +208,9 @@ class EnumerationSession {
  private:
   struct Frame {
     int slot;
-    uint32_t cur;                     // pool id of current progress tree
-    bool fresh;                       // list head not yet fetched
+    uint32_t list;                    // the slot's list, once fetched
+    uint32_t cur;                     // current pool id; UINT32_MAX until
+                                      // the list's head is fetched
     SmallVec<uint32_t, 8> bound;      // vars bound by the current tree
   };
 
@@ -222,8 +222,10 @@ class EnumerationSession {
   /// the location table once per matching entry of star_patterns_, so its
   /// cost per answer is bounded by the distinct star patterns in the pool.
   void Prune();
-  uint32_t ListHeadFor(int slot);
-  uint32_t AdvanceSkippingDead(uint32_t id) const;
+  /// Looks up the list of the frame's slot under h, records it in the
+  /// frame, and returns its first tree; UINT32_MAX when h has no such list.
+  uint32_t ListHeadFor(Frame* frame);
+  uint32_t AdvanceSkippingDead(uint32_t id, uint32_t list) const;
 
   std::shared_ptr<const PreparedOMQ> prepared_;
 

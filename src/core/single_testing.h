@@ -14,7 +14,7 @@
 //
 // Outside the tractable classes (e.g. a candidate whose bound query is
 // cyclic) the tester stays correct by falling back to backtracking search;
-// the linear-time guarantee then no longer applies (see DESIGN.md).
+// Theorem 3.1's linear-time guarantee then no longer applies.
 #ifndef OMQE_CORE_SINGLE_TESTING_H_
 #define OMQE_CORE_SINGLE_TESTING_H_
 

@@ -145,7 +145,9 @@ Status Normalize(const CQ& q0, const Database& d0, bool answers_constants_only,
   reduced.clear();
   auto p_forest = GyoJoinForest(p_edges);
   if (!p_forest.has_value()) {
-    // Cannot happen for acyclic + free-connex inputs (see DESIGN.md §2.3).
+    // Cannot happen for acyclic + free-connex inputs: Section 5's
+    // normalization takes q1's join tree from free-connexity, after
+    // Berkholz, Gerhardt and Schweikardt 2020.
     return Status::InvalidArgument(
         "projected prefix is cyclic; query is not acyclic + free-connex");
   }

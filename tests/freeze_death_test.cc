@@ -3,9 +3,15 @@
 // deterministic aborts (instead of cross-thread data races), while read
 // paths stay fully functional. Until now these paths were only exercised
 // implicitly by the prepared-query engine never writing after Prepare.
+// The last test pins the link lists' invariant the same way: a list's
+// first progress tree is never pruned, and unlinking one aborts.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "base/interner.h"
+#include "core/link_overlay.h"
 #include "data/database.h"
 #include "data/schema.h"
 
@@ -92,6 +98,16 @@ TEST(InternerFreezeDeathTest, InternOfNewStringAbortsAfterFreeze) {
   EXPECT_EQ(interner.Intern("known"), id);  // existing: lookup semantics
   EXPECT_EQ(interner.Lookup("unknown"), UINT32_MAX);
   EXPECT_DEATH(interner.Intern("unknown"), kCheckMsg);
+}
+
+TEST(LinkOverlayDeathTest, UnlinkingAListsFirstTreeAborts) {
+  const std::vector<uint32_t> list_begin = {0, 3, 5};
+  LinkOverlay overlay;
+  overlay.Attach(&list_begin, std::make_unique<LinkBuffer>(5));
+  overlay.Unlink(1, 0);  // fine: 0 precedes it
+  EXPECT_FALSE(overlay.alive(1));
+  EXPECT_DEATH(overlay.Unlink(0, 0), kCheckMsg);
+  EXPECT_DEATH(overlay.Unlink(3, 1), kCheckMsg);
 }
 
 }  // namespace

@@ -240,11 +240,11 @@ TEST(PartialEnumTest, PruneProbesPerRowOnOffice) {
 
 // The per-answer link work, as a count rather than a timer. An Unlink
 // follows one location probe and copies at most three entries into the
-// session's link buffer: the node, its successor, and its predecessor or
-// its list's head. So no Next() copies more than three entries per probe it
-// made, and the largest step does not grow with the data. Nothing is copied
-// in bulk either: after a full drain the buffer holds exactly the nodes
-// pruning touched, however large a share of the pool that is.
+// session's link buffer: the node, its successor, and its predecessor. So
+// no Next() copies more than three entries per probe it made, and the
+// largest step does not grow with the data. Nothing is copied in bulk
+// either: after a full drain the buffer holds exactly the nodes pruning
+// touched, however large a share of the pool that is.
 struct LinkWrites {
   size_t max_step = 0;     // most entries one Next() copied
   size_t over_bound = 0;   // steps that copied more than 3 per probe
@@ -268,8 +268,7 @@ LinkWrites DrainOfficeCountingLinkWrites(uint32_t researchers) {
   uint64_t probes = 0;
   for (bool more = true; more;) {
     more = session.Next(&t);
-    const LinkOverlay::Stats stats = session.overlay_stats();
-    const size_t now = stats.touched_nodes + stats.touched_heads;
+    const size_t now = session.overlay_stats().touched_nodes;
     const size_t step = now - copied;
     if (step > 3 * (session.location_probes() - probes)) ++w.over_bound;
     w.max_step = std::max(w.max_step, step);

@@ -105,9 +105,12 @@ TEST(SessionTest, StaggeredSessionStartSeesFullAnswerSet) {
   std::vector<ValueTuple> got_a;
   got_a.push_back(t);
   // A moved session walks on with its pruned link buffer; the moved-from
-  // one returns nothing.
+  // one returns nothing, resets to nothing and reads zero touched nodes.
   EnumerationSession moved(std::move(a));
   EXPECT_FALSE(a.Next(&t));
+  a.Reset();
+  EXPECT_FALSE(a.Next(&t));
+  EXPECT_EQ(a.overlay_stats().touched_nodes, 0u);
   while (moved.Next(&t)) got_a.push_back(t);
   EXPECT_TRUE(SameTupleSet(got_a, want));
   EXPECT_TRUE(SameTupleSet(got_b, want));
@@ -290,31 +293,49 @@ TEST(SessionTest, ConcurrentThreadsOnLargerInstance) {
   EXPECT_LE(prepared->link_buffers_allocated(), static_cast<size_t>(kThreads));
 }
 
-// The list-head path of a session's link buffer, on one list 0 -> 1 -> 2.
-// The office, chain and generated fuzz cases never prune a list head (their
-// touched_heads stays 0), so no drain above reaches it.
-TEST(SessionTest, LinkBufferUnlinksListHeadsAndClearsThem) {
-  const std::vector<uint32_t> prev = {UINT32_MAX, 0, 1};
-  const std::vector<uint32_t> next = {1, 2, UINT32_MAX};
-  const std::vector<uint32_t> heads = {0};
+// A session's link buffer over list offsets, on two lists 0 -> 1 -> 2 -> 3
+// and 4 -> 5: the initial order is the id order inside each list, and it
+// ends at the list's end.
+TEST(SessionTest, LinkBufferUnlinksOverListOffsetsAndClears) {
+  const std::vector<uint32_t> list_begin = {0, 4, 6};
   LinkOverlay overlay;
-  overlay.Attach(&prev, &next, &heads, std::make_unique<LinkBuffer>(3, 1));
-  overlay.Unlink(0, 0);
-  overlay.Unlink(1, 0);
-  EXPECT_EQ(overlay.head(0), 2u);
-  EXPECT_FALSE(overlay.alive(0));
-  EXPECT_EQ(overlay.next(0), 1u);  // a dead node's next stays frozen
-  EXPECT_EQ(overlay.stats().touched_nodes, 3u);
-  EXPECT_EQ(overlay.stats().touched_heads, 1u);
+  overlay.Attach(&list_begin, std::make_unique<LinkBuffer>(6));
+  EXPECT_EQ(overlay.next(2, 0), 3u);
+  EXPECT_EQ(overlay.next(3, 0), UINT32_MAX);  // not 4: list 1 begins there
+  EXPECT_EQ(overlay.next(4, 1), 5u);
+  EXPECT_EQ(overlay.stats().touched_nodes, 0u);
+
+  overlay.Unlink(1, 0);  // a middle node
+  EXPECT_FALSE(overlay.alive(1));
+  EXPECT_EQ(overlay.next(0, 0), 2u);
+  EXPECT_EQ(overlay.stats().touched_nodes, 3u);  // 1 and both neighbors
+  overlay.Unlink(3, 0);  // the last node
+  EXPECT_EQ(overlay.next(2, 0), UINT32_MAX);
+  EXPECT_EQ(overlay.stats().touched_nodes, 4u);
+  overlay.Unlink(2, 0);
+  EXPECT_EQ(overlay.next(0, 0), UINT32_MAX);
+  // A dead node's next stays frozen: a walk positioned on 1 goes on to 2,
+  // dead too, and from there to the list's end.
+  EXPECT_EQ(overlay.next(1, 0), 2u);
+  EXPECT_EQ(overlay.next(2, 0), UINT32_MAX);
+  overlay.Unlink(2, 0);  // idempotent
+  EXPECT_EQ(overlay.stats().touched_nodes, 4u);
+  EXPECT_TRUE(overlay.alive(4) && overlay.alive(5));  // list 1 untouched
+
+  // Detach clears the buffer through its log.
+  std::unique_ptr<LinkBuffer> buffer = overlay.Detach();
+  EXPECT_TRUE(buffer->touched_ids.empty());
+  EXPECT_EQ(buffer->state, std::vector<uint8_t>(6, 0));
 
   // Recycled, the cleared buffer reads the initial order again.
   LinkOverlay recycled;
-  recycled.Attach(&prev, &next, &heads, overlay.Detach());
-  EXPECT_EQ(recycled.head(0), 0u);
-  EXPECT_TRUE(recycled.alive(0) && recycled.alive(1));
-  EXPECT_EQ(recycled.next(1), 2u);
+  recycled.Attach(&list_begin, std::move(buffer));
+  for (uint32_t id = 0; id < 3; ++id) {
+    EXPECT_TRUE(recycled.alive(id));
+    EXPECT_EQ(recycled.next(id, 0), id + 1);
+  }
+  EXPECT_EQ(recycled.next(3, 0), UINT32_MAX);
   EXPECT_EQ(recycled.stats().touched_nodes, 0u);
-  EXPECT_EQ(recycled.stats().touched_heads, 0u);
 }
 
 // Answer-order digests. The tests above compare answer sets; these pin the
