@@ -163,14 +163,6 @@ class OpenTable<Keys, V, KeyArgs<A...>> {
     vals_[i] = v;
   }
 
-  /// Visits every stored value in slot order, to rewrite it in place.
-  template <typename Fn>
-  void ForEachValue(Fn&& fn) {
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (!Keys::Empty(slots_[i])) fn(vals_[i]);
-    }
-  }
-
   HashStats Stats() const {
     HashStats stats;
     stats.capacity = slots_.size();

@@ -6,7 +6,7 @@
 // layout is the initial order, so a node still in it has no stored links:
 // its next is id + 1 until its list's end, its prev id - 1 after its list's
 // begin. A list's first tree is never pruned (the proof is on
-// PreparedOMQ::LinkLists), so no list head is stored either.
+// PreparedOMQ::CloseList), so no list head is stored either.
 //
 // The paper's ≻db pruning mutates the lists during enumeration, so every
 // session keeps private prev/next/alive links, in one LinkBuffer of flat

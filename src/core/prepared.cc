@@ -4,44 +4,23 @@
 #include <string>
 
 #include "base/trace.h"
-#include "cq/hypergraph.h"
 #include "eval/brute.h"  // kNoValue
 
 namespace omqe {
 
 namespace {
 
-// A partial-answer subtree is a 64-bit mask over q1's nodes, and the build
-// enumerates every connected subtree rooted at each node.
+// A partial-answer subtree is a 64-bit mask over q1's nodes.
 constexpr size_t kMaxTreeNodes = 64;
-constexpr uint64_t kMaxSubtreesPerNode = uint64_t{1} << 20;
 
-/// Refuses a query whose q1 has more than 64 nodes, or a node rooting more
-/// than 2^20 connected subtrees. q1's shape depends on the query alone, so
-/// this runs before the chase.
+/// Refuses a query whose q1 has more than 64 nodes. q1's shape depends on
+/// the query alone, so this runs before the chase.
 Status CheckPartialShape(const CQ& q) {
-  std::vector<VarSet> nodes;
-  for (const Q1Node& n : Q1Nodes(q)) nodes.push_back(n.vars);
-  if (nodes.size() > kMaxTreeNodes) {
+  const size_t nodes = Q1Nodes(q).size();
+  if (nodes > kMaxTreeNodes) {
     return Status::InvalidArgument(
-        "query normalizes to " + std::to_string(nodes.size()) +
+        "query normalizes to " + std::to_string(nodes) +
         " tree nodes; partial answers support at most 64");
-  }
-  auto forest = GyoJoinForest(nodes);
-  if (!forest.has_value()) return Status::OK();  // Normalize reports it
-  // Node v roots the product over its children c of (1 + subtrees(c)).
-  std::vector<uint64_t> subtrees(nodes.size());
-  for (int v : forest->BottomUp()) {
-    uint64_t n = 1;
-    for (int c : forest->children[v]) {
-      n *= 1 + subtrees[c];
-      if (n > kMaxSubtreesPerNode) {
-        return Status::InvalidArgument(
-            "query has more than 2^20 subtrees at one node; partial answers "
-            "support at most 2^20");
-      }
-    }
-    subtrees[v] = n;
   }
   return Status::OK();
 }
@@ -98,43 +77,31 @@ StatusOr<std::shared_ptr<const PreparedOMQ>> PreparedOMQ::Prepare(
     }
     trace::ScopedSpan span("prepare.collect_trees");
     p->BuildSlots();
-    p->BuildSubtrees();
     p->CollectProgressTrees();
-    p->LinkLists();
-    p->ReleaseBuildState();
+    // The artifact outlives the build by design (it backs long-running
+    // sessions); drop the table only the build probes.
+    p->subtree_by_mask_ = FlatMap<uint64_t, uint32_t>();
     span.set_arg(p->pool_.size());
   }
   return std::shared_ptr<const PreparedOMQ>(std::move(p));
 }
 
-void PreparedOMQ::ReleaseBuildState() {
-  // The artifact outlives the build by design (it backs long-running
-  // sessions); drop the tables only the build phase probes.
-  node_to_slot_ = {};
-  subtree_by_mask_ = FlatMap<uint64_t, uint32_t>();
-  scratch_g_ = ValueTuple();
-  scratch_pred_ = ValueTuple();
-  scratch_loc_key_ = ValueTuple();
-  scratch_list_key_ = ValueTuple();
-}
-
 void PreparedOMQ::BuildSlots() {
-  node_to_slot_.resize(partial_norm_.trees.size());
   for (size_t t = 0; t < partial_norm_.trees.size(); ++t) {
-    node_to_slot_[t].assign(partial_norm_.trees[t].nodes.size(), -1);
-    for (int n : partial_norm_.trees[t].preorder) {
-      node_to_slot_[t][n] = static_cast<int>(slots_.size());
+    const NormTree& tree = partial_norm_.trees[t];
+    std::vector<int> node_to_slot(tree.nodes.size(), -1);
+    for (int n : tree.preorder) {
+      node_to_slot[n] = static_cast<int>(slots_.size());
       Slot slot;
       slot.tree = static_cast<int>(t);
       slot.node = n;
-      slot.vars = partial_norm_.trees[t].nodes[n].vars;
-      slot.pred_vars = partial_norm_.trees[t].nodes[n].pred_vars;
+      slot.vars = tree.nodes[n].vars;
+      slot.pred_vars = tree.nodes[n].pred_vars;
       slots_.push_back(std::move(slot));
     }
-    for (int n : partial_norm_.trees[t].preorder) {
-      int s = node_to_slot_[t][n];
-      for (int c : partial_norm_.trees[t].nodes[n].children) {
-        slots_[s].children.push_back(node_to_slot_[t][c]);
+    for (int n : tree.preorder) {
+      for (int c : tree.nodes[n].children) {
+        slots_[node_to_slot[n]].children.push_back(node_to_slot[c]);
       }
     }
   }
@@ -166,52 +133,20 @@ uint32_t PreparedOMQ::SubtreeIdFor(uint64_t mask, int root_slot) {
   return id;
 }
 
-void PreparedOMQ::BuildSubtrees() {
-  // Bottom-up: combos(s) = all connected subgraph masks rooted at s.
-  std::vector<std::vector<uint64_t>> combos(slots_.size());
-  for (int s = static_cast<int>(slots_.size()); s-- > 0;) {
-    std::vector<uint64_t> acc{uint64_t{1} << s};
-    for (int c : slots_[s].children) {
-      std::vector<uint64_t> next;
-      next.reserve(acc.size() * (1 + combos[c].size()));
-      for (uint64_t base : acc) {
-        next.push_back(base);  // child excluded
-        for (uint64_t cm : combos[c]) next.push_back(base | cm);
-      }
-      acc = std::move(next);
-      OMQE_CHECK(acc.size() <= kMaxSubtreesPerNode);  // CheckPartialShape
-    }
-    combos[s] = std::move(acc);
-  }
-  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    for (uint64_t mask : combos[s]) SubtreeIdFor(mask, s);
-  }
-}
-
 void PreparedOMQ::AddProgressTree(uint32_t subtree,
                                   const std::vector<Value>& hom) {
-  const Subtree& st = subtrees_[subtree];
-  ValueTuple& g = scratch_g_;
-  g.clear();
+  PTree& tree = pool_.emplace_back();
+  tree.subtree = subtree;
+  tree.list = static_cast<uint32_t>(list_begin_.size() - 1);
   VarSet stars = 0;
-  for (uint32_t v : st.vars) {
+  for (uint32_t v : subtrees_[subtree].vars) {
     Value val = hom[v];
     if (IsNull(val)) {
       stars |= VarBit(v);
       val = kStar;
     }
-    g.push_back(val);
+    tree.g.push_back(val);
   }
-  // Condition (1): the root's predecessor variables must be constants.
-  ValueTuple& pred = scratch_pred_;
-  pred.clear();
-  for (uint32_t pv : slots_[st.root_slot].pred_vars) {
-    Value val = hom[pv];
-    if (IsNull(val)) return;
-    pred.push_back(val);
-  }
-  CommitTree(subtree, st.root_slot, g.data(), g.size(), pred.data(),
-             pred.size());
   // Excursions from one slot mostly repeat the last star pattern, so this
   // keeps the list short; CollectProgressTrees drops the other repeats.
   const StarPattern pattern{subtree, stars};
@@ -221,119 +156,53 @@ void PreparedOMQ::AddProgressTree(uint32_t subtree,
   }
 }
 
-void PreparedOMQ::CommitTree(uint32_t subtree, int root_slot, const Value* g,
-                             uint32_t g_len, const Value* pred_vals,
-                             uint32_t pred_len) {
-  // Dedup via the location table.
-  ValueTuple& loc_key = scratch_loc_key_;
-  loc_key.clear();
-  loc_key.push_back(subtree);
-  for (uint32_t i = 0; i < g_len; ++i) loc_key.push_back(g[i]);
-  uint32_t fresh = static_cast<uint32_t>(pool_.size());
-  uint32_t& id = location_.InsertOrGet(loc_key.data(), loc_key.size(), fresh);
-  if (id != fresh) return;
-
-  PTree tree;
-  tree.subtree = subtree;
-  tree.g = ValueTuple(g, g + g_len);
-  // The owning list: trees(root, h restricted to the root's pred vars).
-  ValueTuple& list_key = scratch_list_key_;
-  list_key.clear();
-  list_key.push_back(static_cast<uint32_t>(root_slot));
-  for (uint32_t i = 0; i < pred_len; ++i) list_key.push_back(pred_vals[i]);
-  tree.list = list_ids_.InsertOrGet(list_key.data(), list_key.size(),
-                                    static_cast<uint32_t>(list_ids_.size()));
-  pool_.push_back(std::move(tree));
-}
-
 void PreparedOMQ::CollectFromRow(int slot, uint32_t row) {
-  // Assemble homomorphisms of the forced subtree rooted at `slot` starting
-  // from `row`; every null forces the children sharing it (condition (2)).
+  // Every homomorphism of the subtree that the row's nulls force from
+  // `slot`: a null predecessor value forces the child that shares it
+  // (condition (2)). `pending` holds the forced slots not yet bound; bind
+  // gives slot s row r, then each of the next pending slot's rows in turn.
   std::vector<Value> hom(num_vars_, kNoValue);
+  std::vector<int> pending;
   uint64_t mask = 0;
-
-  // Recursive lambda over (slot, row) with explicit backtracking.
-  struct Rec {
-    PreparedOMQ* self;
-    std::vector<Value>& hom;
-    uint64_t& mask;
-    int root;
-
-    bool BindNode(int s, uint32_t r, SmallVec<uint32_t, 8>* bound) {
-      const NormNode& node = self->partial_norm_.trees[self->slots_[s].tree]
-                                 .nodes[self->slots_[s].node];
-      const Value* tuple = node.rel.Row(r);
-      for (size_t i = 0; i < node.vars.size(); ++i) {
-        uint32_t v = node.vars[i];
-        if (hom[v] == kNoValue) {
-          hom[v] = tuple[i];
-          bound->push_back(v);
-        } else if (hom[v] != tuple[i]) {
-          for (uint32_t b : *bound) hom[b] = kNoValue;
-          return false;
-        }
+  auto bind = [&](auto& self, int s, uint32_t r) -> void {
+    const NormNode& node = NodeOf(s);
+    const Value* tuple = node.rel.Row(r);
+    // s shares only its predecessor variables with the slots bound before
+    // it (q1's tree is a join tree), and its index matched those.
+    SmallVec<uint32_t, 8> bound;
+    for (size_t i = 0; i < node.vars.size(); ++i) {
+      if (hom[node.vars[i]] == kNoValue) {
+        hom[node.vars[i]] = tuple[i];
+        bound.push_back(node.vars[i]);
       }
-      return true;
     }
-
-    void Go(int s, uint32_t r) {
-      SmallVec<uint32_t, 8> bound;
-      if (!BindNode(s, r, &bound)) return;
-      mask |= uint64_t{1} << s;
-      // Children forced by a null predecessor variable.
-      SmallVec<uint32_t, 8> forced;
-      for (int c : self->slots_[s].children) {
-        bool has_null_pred = false;
-        for (uint32_t pv : self->slots_[c].pred_vars) {
-          has_null_pred |= IsNull(hom[pv]);
-        }
-        if (has_null_pred) forced.push_back(static_cast<uint32_t>(c));
+    mask |= uint64_t{1} << s;
+    const size_t depth = pending.size();
+    for (int c : slots_[s].children) {
+      if (std::any_of(slots_[c].pred_vars.begin(), slots_[c].pred_vars.end(),
+                      [&](uint32_t pv) { return IsNull(hom[pv]); })) {
+        pending.push_back(c);
       }
-      Product(s, forced, 0);
-      mask &= ~(uint64_t{1} << s);
-      for (uint32_t b : bound) hom[b] = kNoValue;
     }
-
-    // Cross product over the forced children's row choices.
-    void Product(int s, const SmallVec<uint32_t, 8>& forced, uint32_t i) {
-      if (i == forced.size()) {
-        if (s == root) Emit();
-        return;
-      }
-      int c = static_cast<int>(forced[i]);
-      const NormNode& node = self->partial_norm_.trees[self->slots_[c].tree]
-                                 .nodes[self->slots_[c].node];
+    if (pending.empty()) {
+      AddProgressTree(SubtreeIdFor(mask, slot), hom);
+    } else {
+      const int c = pending.back();
+      pending.pop_back();
       ValueTuple key;
-      for (uint32_t pv : self->slots_[c].pred_vars) key.push_back(hom[pv]);
-      for (uint32_t r = node.index.First(key.data()); r != UINT32_MAX;
-           r = node.index.Next(r)) {
-        // Recurse into the child subtree, then continue with the siblings.
-        SmallVec<uint32_t, 8> bound;
-        if (!BindNode(c, r, &bound)) continue;
-        mask |= uint64_t{1} << c;
-        SmallVec<uint32_t, 8> grand;
-        for (int gc : self->slots_[c].children) {
-          bool null_pred = false;
-          for (uint32_t pv : self->slots_[gc].pred_vars) {
-            null_pred |= IsNull(hom[pv]);
-          }
-          if (null_pred) grand.push_back(static_cast<uint32_t>(gc));
-        }
-        // Compose: finish c's forced grandchildren, then the remaining
-        // siblings of c. We flatten by appending.
-        SmallVec<uint32_t, 8> rest = grand;
-        for (uint32_t j = i + 1; j < forced.size(); ++j) rest.push_back(forced[j]);
-        Product(s, rest, 0);
-        mask &= ~(uint64_t{1} << c);
-        for (uint32_t b : bound) hom[b] = kNoValue;
+      for (uint32_t pv : slots_[c].pred_vars) key.push_back(hom[pv]);
+      const RowIndex& index = NodeOf(c).index;
+      for (uint32_t cr = index.First(key.data()); cr != UINT32_MAX;
+           cr = index.Next(cr)) {
+        self(self, c, cr);
       }
+      pending.push_back(c);
     }
-
-    void Emit() { self->AddProgressTree(self->SubtreeIdFor(mask, root), hom); }
+    pending.resize(depth);
+    mask &= ~(uint64_t{1} << s);
+    for (uint32_t v : bound) hom[v] = kNoValue;
   };
-
-  Rec rec{this, hom, mask, slot};
-  rec.Go(slot, row);
+  bind(bind, slot, row);
 }
 
 void PreparedOMQ::CollectProgressTrees() {
@@ -344,45 +213,51 @@ void PreparedOMQ::CollectProgressTrees() {
   // and the list table grow to their real size.
   size_t total_rows = 0;
   size_t total_key_words = 0;
-  for (const Slot& slot : slots_) {
-    const NormNode& node = partial_norm_.trees[slot.tree].nodes[slot.node];
-    total_rows += node.rel.NumRows();
-    total_key_words +=
-        static_cast<size_t>(node.rel.NumRows()) * (1 + node.rel.width());
+  for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
+    const VarRelation& rel = NodeOf(s).rel;
+    total_rows += rel.NumRows();
+    total_key_words += static_cast<size_t>(rel.NumRows()) * (1 + rel.width());
   }
   location_.Reserve(total_rows, total_key_words);
 
+  // A list trees(v, h) roots exactly at the rows of h's chain in v's
+  // predecessor index, so each list is collected from its chain, starting
+  // at the chain's head: its first row, since bulk-built chains ascend. A
+  // row with a null predecessor value roots no tree; it only appears deeper
+  // inside other slots' excursions.
+  list_begin_.assign(1, 0);
+  ValueTuple list_key;  // [slot, h|pred...]
   for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    const Slot& slot = slots_[s];
-    const NormNode& node = partial_norm_.trees[slot.tree].nodes[slot.node];
+    const NormNode& node = NodeOf(s);
     const uint32_t width = node.rel.width();
-    // Hoisted per-slot state: the single-atom subtree id (one map probe per
-    // slot instead of one per row) and the predecessor-variable columns.
     const uint32_t single_subtree = SubtreeIdFor(uint64_t{1} << s, s);
-    SmallVec<uint32_t, 8> pred_cols;
-    for (uint32_t pv : slot.pred_vars) pred_cols.push_back(node.rel.ColumnOf(pv));
-    for (uint32_t r = 0; r < node.rel.NumRows(); ++r) {
-      const Value* tuple = node.rel.Row(r);
-      bool has_null = false;
-      for (uint32_t i = 0; i < width; ++i) has_null |= IsNull(tuple[i]);
-      if (!has_null) {
-        // Single-atom database progress tree. The node's columns are its
-        // variables in ascending order, which is exactly the subtree's
-        // variable order, so the row itself is the binding g; condition (1)
-        // holds trivially (no nulls anywhere in the row).
-        ValueTuple& pred = scratch_pred_;
-        pred.clear();
-        for (uint32_t c : pred_cols) pred.push_back(tuple[c]);
-        CommitTree(single_subtree, s, tuple, width, pred.data(), pred.size());
-      } else {
-        // Root of a null excursion — unless a predecessor variable is null
-        // (then this row only appears deeper inside other excursions).
-        bool pred_null = false;
-        for (uint32_t c : pred_cols) pred_null |= IsNull(tuple[c]);
-        if (!pred_null) CollectFromRow(s, r);
+    for (uint32_t head = 0; head < node.rel.NumRows(); ++head) {
+      list_key.clear();
+      list_key.push_back(static_cast<uint32_t>(s));
+      const Value* first = node.rel.Row(head);
+      bool pred_null = false;
+      for (uint32_t c : node.index.key_columns()) {
+        pred_null |= IsNull(first[c]);
+        list_key.push_back(first[c]);
       }
+      if (pred_null || node.index.First(list_key.data() + 1) != head) continue;
+      const uint32_t list = static_cast<uint32_t>(list_begin_.size() - 1);
+      for (uint32_t r = head; r != UINT32_MAX; r = node.index.Next(r)) {
+        const Value* tuple = node.rel.Row(r);
+        if (std::none_of(tuple, tuple + width, IsNull)) {
+          // A single-atom database tree. The node's columns are its
+          // variables in ascending order, which is exactly the subtree's
+          // variable order, so the row itself is the binding g.
+          pool_.push_back(
+              PTree{single_subtree, list, ValueTuple(tuple, tuple + width)});
+        } else {
+          CollectFromRow(s, r);  // the root of a null excursion
+        }
+      }
+      CloseList(list_key);
     }
   }
+  list_begin_.shrink_to_fit();
   // Sorted and distinct: Prune probes each pattern once, in a fixed order.
   std::sort(star_patterns_.begin(), star_patterns_.end());
   star_patterns_.erase(
@@ -391,15 +266,15 @@ void PreparedOMQ::CollectProgressTrees() {
   star_patterns_.shrink_to_fit();
 }
 
-// Lays the pool out in list order: list l becomes the ids list_begin_[l] up
-// to list_begin_[l + 1], sorted database-preferring (Prop 5.5). The layout
-// is each list's initial order, so sessions store links only for trees
-// their pruning touches, and no list heads at all: a list's first tree is
-// never pruned. Prune unlinks (q, g'), rooted at v, after an output h only
-// when g' equals h off a variable set S, is starred on S, and S strictly
-// contains h's stars on var(q). g' binds v's predecessor variables to
-// constants (condition (1)), so h has the same values there, and (q, g')
-// sits in the list trees(v, h|pred).
+// Closes the open list, the pool's ids from list_begin_.back() on: sorts it
+// database-preferring (Prop 5.5), drops repeats and enters its trees and
+// the list under their final ids. The layout is each list's initial order,
+// so sessions store links only for trees their pruning touches, and no list
+// heads at all: a list's first tree is never pruned. Prune unlinks (q, g'),
+// rooted at v, after an output h only when g' equals h off a variable set
+// S, is starred on S, and S strictly contains h's stars on var(q). g' binds
+// v's predecessor variables to constants (condition (1)), so h has the same
+// values there, and (q, g') sits in the list trees(v, h|pred).
 //  (a) h binds v's variables to a null-free row. That row's single-atom
 //      tree has no stars and is in this list. The order below sorts by
 //      subtree size, then star count, so the list's first tree has no
@@ -410,52 +285,44 @@ void PreparedOMQ::CollectProgressTrees() {
 //      because h's stars on var(q) lie inside S. So q_h ⊆ q, and
 //      (q_h, h|var(q_h)) has fewer stars than |S|: it sorts before (q, g').
 // LinkOverlay::Unlink checks this.
-void PreparedOMQ::LinkLists() {
-  // Counting sort of the pool ids by list: order[new id] = old id.
-  const size_t lists = list_ids_.size();
-  list_begin_.assign(lists + 1, 0);
-  for (const PTree& t : pool_) ++list_begin_[t.list + 1];
-  for (size_t l = 0; l < lists; ++l) list_begin_[l + 1] += list_begin_[l];
-  std::vector<uint32_t> order(pool_.size());
-  {
-    std::vector<uint32_t> fill(list_begin_.begin(), list_begin_.end() - 1);
-    for (uint32_t id = 0; id < pool_.size(); ++id) {
-      order[fill[pool_[id].list]++] = id;
-    }
-  }
-  auto stars = [&](const PTree& t) {
-    uint32_t n = 0;
-    for (Value v : t.g) n += (v == kStar);
-    return n;
+void PreparedOMQ::CloseList(const ValueTuple& list_key) {
+  const uint32_t begin = list_begin_.back();
+  auto stars = [](const PTree& t) {
+    return static_cast<uint32_t>(std::count(t.g.begin(), t.g.end(), kStar));
   };
-  auto before = [&](uint32_t a, uint32_t b) {
-    const PTree& ta = pool_[a];
-    const PTree& tb = pool_[b];
-    int pa = __builtin_popcountll(subtrees_[ta.subtree].mask);
-    int pb = __builtin_popcountll(subtrees_[tb.subtree].mask);
-    if (pa != pb) return pa < pb;                       // V_q ⊊ V_q' first
-    uint32_t sa = stars(ta), sb = stars(tb);
-    if (sa != sb) return sa < sb;                       // fewer wildcards first
-    if (ta.subtree != tb.subtree) return ta.subtree < tb.subtree;
-    return ta.g < tb.g;                                 // deterministic tie-break
-  };
-  for (size_t l = 0; l < lists; ++l) {
-    std::sort(order.begin() + list_begin_[l],
-              order.begin() + list_begin_[l + 1], before);
+  std::sort(pool_.begin() + begin, pool_.end(),
+            [&](const PTree& a, const PTree& b) {
+              const uint64_t ma = subtrees_[a.subtree].mask;
+              const uint64_t mb = subtrees_[b.subtree].mask;
+              const int pa = __builtin_popcountll(ma);
+              const int pb = __builtin_popcountll(mb);
+              if (pa != pb) return pa < pb;  // V_q ⊊ V_q' first
+              const uint32_t sa = stars(a), sb = stars(b);
+              if (sa != sb) return sa < sb;  // fewer wildcards first
+              if (ma != mb) return ma < mb;
+              return a.g < b.g;              // deterministic tie-break
+            });
+  // Rows that differ only in their nulls give the same tree. A tree fixes
+  // its root slot and the root's predecessor values, so repeats only occur
+  // inside one list.
+  pool_.erase(std::unique(pool_.begin() + begin, pool_.end(),
+                          [](const PTree& a, const PTree& b) {
+                            return a.subtree == b.subtree && a.g == b.g;
+                          }),
+              pool_.end());
+  // Full reduction leaves every row a match in each child, so a chain head
+  // always roots a tree.
+  OMQE_CHECK(pool_.size() > begin);
+  ValueTuple loc_key;  // [subtree, g...]
+  for (uint32_t id = begin; id < pool_.size(); ++id) {
+    loc_key.clear();
+    loc_key.push_back(pool_[id].subtree);
+    for (Value v : pool_[id].g) loc_key.push_back(v);
+    location_.Put(loc_key.data(), loc_key.size(), id);
   }
-  std::vector<uint32_t> renumber(pool_.size());  // old id -> new id
-  for (uint32_t id = 0; id < order.size(); ++id) renumber[order[id]] = id;
-  order = {};
-  location_.ForEachValue([&](uint32_t& id) { id = renumber[id]; });
-  // Permute in place, cycle by cycle: each swap puts one tree at its new id
-  // (a gather into a second pool would hold two pools at once).
-  for (uint32_t id = 0; id < pool_.size(); ++id) {
-    while (renumber[id] != id) {
-      const uint32_t to = renumber[id];
-      std::swap(pool_[id], pool_[to]);
-      std::swap(renumber[id], renumber[to]);
-    }
-  }
+  list_ids_.Put(list_key.data(), list_key.size(),
+                static_cast<uint32_t>(list_begin_.size() - 1));
+  list_begin_.push_back(static_cast<uint32_t>(pool_.size()));
 }
 
 size_t PreparedOMQ::link_buffers_allocated() const {
@@ -634,7 +501,7 @@ CompleteSession::CompleteSession(std::shared_ptr<const PreparedOMQ> prepared)
 }
 
 bool CompleteSession::Next(ValueTuple* out) {
-  if (!walker_->Next()) return false;
+  if (walker_ == nullptr || !walker_->Next()) return false;  // or moved from
   out->clear();
   for (uint32_t v : prepared_->answer_vars()) out->push_back(walker_->assignment()[v]);
   return true;

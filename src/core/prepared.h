@@ -2,12 +2,15 @@
 // preprocessing, then constant-delay enumeration) split into two types.
 //
 // PreparedOMQ runs the expensive phase ONCE — query-directed chase, the
-// (q1, D1) normalization(s), slot/subtree construction, and progress-tree
-// collection (Lemma 5.3) — and is immutable afterwards, save for a locked
-// free list of session link buffers. One prepared query can back any
-// number of concurrent sessions: its chase database is frozen
-// (Database::Freeze), its hash tables are only probed through const
-// lookups, and ownership is shared_ptr so sessions keep it alive.
+// (q1, D1) normalization(s), and progress-tree collection (Lemma 5.3) — and
+// is immutable afterwards, save for a locked free list of session link
+// buffers. Collection has no subtree-construction pass: it creates each
+// subtree the first time a tree uses it, and collects each trees(v, h) list
+// in place from its chain in the normalization's predecessor index. One
+// prepared query can back any number of concurrent sessions: its chase
+// database is frozen (Database::Freeze), its hash tables are only probed
+// through const lookups, and ownership is shared_ptr so sessions keep it
+// alive.
 //
 // EnumerationSession holds the per-session mutable state of Algorithm 1:
 // the walk stack, the binding h, and — because the paper's ≻db pruning
@@ -112,24 +115,19 @@ class PreparedOMQ {
   /// One slot per normalized-tree node (at most 64: a subtree is a 64-bit
   /// slot mask; Prepare refuses larger queries before the chase).
   void BuildSlots();
-  /// Every connected subtree of every tree (at most 2^20 per root, which
-  /// Prepare also checks up front).
-  void BuildSubtrees();
   void CollectProgressTrees();
   void CollectFromRow(int slot, uint32_t row);
-  /// Lays the pool out in list order; see the proof in prepared.cc that a
-  /// list's first tree is never pruned.
-  void LinkLists();
+  /// Sorts, deduplicates and enters the list being collected; see the proof
+  /// in prepared.cc that a list's first tree is never pruned.
+  void CloseList(const ValueTuple& list_key);
+  /// The subtree with slot mask `mask`, created on first use.
   uint32_t SubtreeIdFor(uint64_t mask, int root_slot);
+  /// Appends the tree of `subtree` under `hom` to the list being collected.
   void AddProgressTree(uint32_t subtree, const std::vector<Value>& hom);
-  /// Shared tail of progress-tree registration: location-table dedup, pool
-  /// append, and list assignment. `g` is the (star-mapped) binding over the
-  /// subtree's variables; `pred_vals` the root's predecessor binding.
-  void CommitTree(uint32_t subtree, int root_slot, const Value* g,
-                  uint32_t g_len, const Value* pred_vals, uint32_t pred_len);
-  /// Frees construction-only state (mask map, node-to-slot table, scratch
-  /// buffers) — the artifact is long-lived and sessions never probe these.
-  void ReleaseBuildState();
+  /// The normalization node behind slot `s`.
+  const NormNode& NodeOf(int s) const {
+    return partial_norm_.trees[slots_[s].tree].nodes[slots_[s].node];
+  }
   /// A cleared link buffer: a free one, else a new one in O(pool).
   std::unique_ptr<LinkBuffer> TakeLinkBuffer() const;
   void ReturnLinkBuffer(std::unique_ptr<LinkBuffer> cleared) const;
@@ -144,11 +142,10 @@ class PreparedOMQ {
   Normalized partial_norm_;
 
   std::vector<Slot> slots_;
-  std::vector<std::vector<int>> node_to_slot_;  // build-only: [tree][node] -> slot
-  std::vector<Subtree> subtrees_;
+  std::vector<Subtree> subtrees_;  // only those some progress tree uses
   FlatMap<uint64_t, uint32_t> subtree_by_mask_;  // build-only
-  /// In list order after LinkLists: list l is the pool ids list_begin_[l]
-  /// up to list_begin_[l + 1], in the database-preferring order of Prop 5.5.
+  /// In list order: list l is the pool ids list_begin_[l] up to
+  /// list_begin_[l + 1], in the database-preferring order of Prop 5.5.
   std::vector<PTree> pool_;
   std::vector<uint32_t> list_begin_;  // one entry per list, plus the end
   /// Every distinct non-empty star pattern of the pool, sorted by
@@ -162,12 +159,6 @@ class PreparedOMQ {
   mutable std::mutex buffers_mu_;
   mutable std::vector<std::unique_ptr<LinkBuffer>> free_buffers_;
   mutable size_t buffers_allocated_ = 0;  // guarded by buffers_mu_
-  // Scratch buffers reused across progress-tree collection (no per-row
-  // allocation); released by ReleaseBuildState.
-  ValueTuple scratch_g_;
-  ValueTuple scratch_pred_;
-  ValueTuple scratch_loc_key_;
-  ValueTuple scratch_list_key_;
 };
 
 /// One cursor over the minimal partial answers of a prepared query
@@ -248,8 +239,11 @@ class CompleteSession {
   /// Requires prepared->for_complete().
   explicit CompleteSession(std::shared_ptr<const PreparedOMQ> prepared);
 
+  /// A moved-from session returns nothing and resets to nothing.
   bool Next(ValueTuple* out);
-  void Reset() { walker_->Reset(); }
+  void Reset() {
+    if (walker_ != nullptr) walker_->Reset();
+  }
 
   const PreparedOMQ& prepared() const { return *prepared_; }
 

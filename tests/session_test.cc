@@ -152,7 +152,13 @@ TEST(SessionTest, CompleteSessionsAreIndependent) {
   std::vector<ValueTuple> got_b = Drain(b);
   std::vector<ValueTuple> got_a;
   got_a.push_back(t);
-  while (a.Next(&t)) got_a.push_back(t);
+  // A moved session walks on; the moved-from one returns nothing and
+  // resets to nothing.
+  CompleteSession moved(std::move(a));
+  EXPECT_FALSE(a.Next(&t));
+  a.Reset();
+  EXPECT_FALSE(a.Next(&t));
+  while (moved.Next(&t)) got_a.push_back(t);
   EXPECT_TRUE(SameTupleSet(got_a, want));
   EXPECT_TRUE(SameTupleSet(got_b, want));
 }
