@@ -2,6 +2,7 @@
 
 #include "cq/hypergraph.h"
 #include "cq/properties.h"
+#include "eval/normalize.h"
 
 namespace omqe {
 
@@ -49,11 +50,21 @@ StatusOr<std::unique_ptr<AllTester>> AllTester::Create(const OMQ& omq,
 
   for (const std::vector<int>& group : groups) {
     CQ sub = InducedSubquery(q, group);
-    tester->parts_.emplace_back();
+    Normalized part;
     OMQE_RETURN_IF_ERROR(Normalize(sub, tester->chase_->db,
-                                   /*answers_constants_only=*/true,
-                                   &tester->parts_.back()));
-    if (tester->parts_.back().empty) tester->always_false_ = true;
+                                   /*answers_constants_only=*/true, &part));
+    if (part.empty) tester->always_false_ = true;
+    for (const NormTree& tree : part.trees) {
+      for (const NormNode& node : tree.nodes) {
+        NodeRows& set = tester->nodes_.emplace_back();
+        set.vars = node.vars;
+        const uint32_t rows = node.rel.NumRows();
+        set.rows.Reserve(rows, static_cast<size_t>(rows) * node.rel.width());
+        for (uint32_t r = 0; r < rows; ++r) {
+          set.rows.InsertOrGet(node.rel.Row(r), node.rel.width(), 1);
+        }
+      }
+    }
   }
   return tester;
 }
@@ -75,14 +86,10 @@ bool AllTester::Test(const ValueTuple& candidate) const {
     }
   }
   ValueTuple row;
-  for (const Normalized& part : parts_) {
-    for (const NormTree& tree : part.trees) {
-      for (const NormNode& node : tree.nodes) {
-        row.clear();
-        for (uint32_t v : node.vars) row.push_back(binding[v]);
-        if (!node.rel.ContainsRow(row.data())) return false;
-      }
-    }
+  for (const NodeRows& node : nodes_) {
+    row.clear();
+    for (uint32_t v : node.vars) row.push_back(binding[v]);
+    if (node.rows.Find(row.data(), row.size()) == nullptr) return false;
   }
   return true;
 }

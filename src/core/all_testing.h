@@ -5,18 +5,19 @@
 // The OMQ only needs to be *free-connex* acyclic (not acyclic): the join
 // tree of q + G(x̄) decomposes q, after removing the guard G, into
 // components q_1..q_k that are each acyclic and free-connex acyclic
-// (Prop 4.2). Each component is normalized into full acyclic trees with
-// hash-indexed relations; a candidate passes iff each node's projection of
-// the candidate is a row of the node's relation.
+// (Prop 4.2). Each component is normalized into full acyclic trees; the
+// tester keeps, per tree node, only the node's variables and a hash set of
+// its rows, and a candidate passes iff each node's projection of the
+// candidate is in that node's set.
 #ifndef OMQE_CORE_ALL_TESTING_H_
 #define OMQE_CORE_ALL_TESTING_H_
 
 #include <memory>
 #include <vector>
 
+#include "base/flat_hash.h"
 #include "chase/query_directed.h"
 #include "core/omq.h"
-#include "eval/normalize.h"
 
 namespace omqe {
 
@@ -34,12 +35,18 @@ class AllTester {
  private:
   AllTester() = default;
 
+  /// The rows of one normalization tree node, as a set over its variables.
+  struct NodeRows {
+    std::vector<uint32_t> vars;
+    TupleMap<char> rows;
+  };
+
   std::vector<uint32_t> answer_vars_;
   uint32_t num_vars_ = 0;
   bool always_false_ = false;
   std::shared_ptr<const ChaseResult> chase_;
-  /// One normalization per guard component (their trees are merged here).
-  std::vector<Normalized> parts_;
+  /// Every node of every guard component's normalization trees.
+  std::vector<NodeRows> nodes_;
 };
 
 }  // namespace omqe

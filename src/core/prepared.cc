@@ -89,20 +89,15 @@ StatusOr<std::shared_ptr<const PreparedOMQ>> PreparedOMQ::Prepare(
 void PreparedOMQ::BuildSlots() {
   for (size_t t = 0; t < partial_norm_.trees.size(); ++t) {
     const NormTree& tree = partial_norm_.trees[t];
-    std::vector<int> node_to_slot(tree.nodes.size(), -1);
-    for (int n : tree.preorder) {
-      node_to_slot[n] = static_cast<int>(slots_.size());
-      Slot slot;
+    const int first = static_cast<int>(slots_.size());
+    for (size_t n = 0; n < tree.nodes.size(); ++n) {
+      const NormNode& node = tree.nodes[n];
+      Slot& slot = slots_.emplace_back();
       slot.tree = static_cast<int>(t);
-      slot.node = n;
-      slot.vars = tree.nodes[n].vars;
-      slot.pred_vars = tree.nodes[n].pred_vars;
-      slots_.push_back(std::move(slot));
-    }
-    for (int n : tree.preorder) {
-      for (int c : tree.nodes[n].children) {
-        slots_[node_to_slot[n]].children.push_back(node_to_slot[c]);
-      }
+      slot.node = static_cast<int>(n);
+      slot.vars = node.vars;
+      slot.pred_vars = node.pred_vars;
+      for (int c : node.children) slot.children.push_back(first + c);
     }
   }
   OMQE_CHECK(slots_.size() <= kMaxTreeNodes);  // CheckPartialShape
@@ -257,6 +252,7 @@ void PreparedOMQ::CollectProgressTrees() {
       CloseList(list_key);
     }
   }
+  pool_.shrink_to_fit();
   list_begin_.shrink_to_fit();
   // Sorted and distinct: Prune probes each pattern once, in a fixed order.
   std::sort(star_patterns_.begin(), star_patterns_.end());

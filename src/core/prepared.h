@@ -77,7 +77,9 @@ class PreparedOMQ {
  private:
   friend class EnumerationSession;
 
-  /// One q1 atom in the global preorder over all normalization trees.
+  /// One q1 atom: the normalization trees' nodes, one tree after another,
+  /// so a node's slot is its tree's first slot plus its node index, and a
+  /// parent's slot precedes its children's.
   struct Slot {
     int tree;
     int node;

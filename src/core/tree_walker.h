@@ -1,9 +1,10 @@
 // TreeWalker: constant-delay traversal of the assignments of a normalized
-// query forest. The slots are the preorder concatenation of all trees; for
-// each slot, candidate rows come from the node's index keyed by the
-// already-bound predecessor variables. Thanks to the progress condition the
-// walk never dead-ends, so the delay between two assignments is bounded by
-// the (constant) number of slots.
+// query forest. The slots are the trees' nodes, one tree after another;
+// each tree stores its nodes in preorder, so a parent's slot precedes its
+// children's. For each slot, candidate rows come from the node's index
+// keyed by the already-bound predecessor variables. Thanks to the progress
+// condition the walk never dead-ends, so the delay between two assignments
+// is bounded by the (constant) number of slots.
 #ifndef OMQE_CORE_TREE_WALKER_H_
 #define OMQE_CORE_TREE_WALKER_H_
 
@@ -19,10 +20,8 @@ class TreeWalker {
   /// `norm` must outlive the walker. `num_vars` sizes the assignment.
   TreeWalker(const Normalized* norm, uint32_t num_vars)
       : norm_(norm), assign_(num_vars, kNoValue) {
-    for (size_t t = 0; t < norm->trees.size(); ++t) {
-      for (int n : norm->trees[t].preorder) {
-        slots_.push_back({static_cast<int>(t), n});
-      }
+    for (const NormTree& tree : norm->trees) {
+      for (const NormNode& node : tree.nodes) slots_.push_back(&node);
     }
     Reset();
   }
@@ -49,7 +48,7 @@ class TreeWalker {
         exhausted_ = true;
         return false;
       }
-      const NormNode& node = Node(pos);
+      const NormNode& node = *slots_[pos];
       uint32_t row;
       if (rows_[pos] == kFresh) {
         // First visit at this position: look up by the predecessor key.
@@ -76,19 +75,10 @@ class TreeWalker {
   const std::vector<Value>& assignment() const { return assign_; }
 
  private:
-  struct Slot {
-    int tree;
-    int node;
-  };
   static constexpr uint32_t kFresh = 0xfffffffeu;
 
-  const NormNode& Node(int pos) const {
-    const Slot& s = slots_[pos];
-    return norm_->trees[s.tree].nodes[s.node];
-  }
-
   const Normalized* norm_;
-  std::vector<Slot> slots_;
+  std::vector<const NormNode*> slots_;  // one per node, in slot order
   std::vector<uint32_t> rows_;
   std::vector<Value> assign_;
   ValueTuple key_;

@@ -50,7 +50,7 @@ Status Normalize(const CQ& q0, const Database& d0, bool answers_constants_only,
     VarSet comp_vars = 0;
     for (int ai : comp) {
       const Atom& atom = q0.atoms()[ai];
-      rels.push_back(MaterializeAtom(q0, atom, d0));
+      rels.push_back(MaterializeAtom(atom, d0));
       edges.push_back(CQ::AtomVars(atom));
       comp_vars |= edges.back();
       if (answers_constants_only) {
@@ -81,20 +81,16 @@ Status Normalize(const CQ& q0, const Database& d0, bool answers_constants_only,
       if (!forest.has_value()) {
         return Status::InvalidArgument("query is not acyclic");
       }
-      for (int v : forest->BottomUp()) {
-        for (int child : forest->children[v]) {
-          SemijoinReduce(&rels[v], rels[child]);
-        }
-        if (rels[v].empty()) {
-          out->empty = true;
-          return Status::OK();
-        }
+      if (!ReduceUp(*forest, &rels)) {
+        out->empty = true;
+        return Status::OK();
       }
       continue;
     }
 
-    // Join tree of atoms + guard, rooted at the guard.
-    const int guard = static_cast<int>(edges.size());
+    // Join tree of atoms + guard, rooted at the guard. The guard is the
+    // forest's last node, past `rels`, so the passes skip it: children of
+    // the guard have no parent constraint.
     edges.push_back(comp_answers);
     auto forest = GyoJoinForest(edges);
     if (!forest.has_value()) {
@@ -105,31 +101,12 @@ Status Normalize(const CQ& q0, const Database& d0, bool answers_constants_only,
     // may form separate trees in degenerate cases, but since the component
     // is variable-connected and the guard covers all its answer variables,
     // GYO keeps everything in one tree rooted re-rootable at the guard.
-    ReRoot(&*forest, guard);
-
-    // Bottom-up pass (children into parents), skipping the guard itself.
-    for (int v : forest->BottomUp()) {
-      if (v == guard) continue;
-      for (int child : forest->children[v]) {
-        SemijoinReduce(&rels[v], rels[child]);
-      }
-      if (rels[v].empty()) {
-        out->empty = true;
-        return Status::OK();
-      }
+    ReRoot(&*forest, static_cast<int>(rels.size()));
+    if (!ReduceUp(*forest, &rels)) {
+      out->empty = true;
+      return Status::OK();
     }
-    // Top-down pass (parents into children); children of the guard have no
-    // parent constraint.
-    for (int v : forest->PreOrder()) {
-      if (v == guard) continue;
-      for (int child : forest->children[v]) {
-        SemijoinReduce(&rels[child], rels[v]);
-        if (rels[child].empty()) {
-          out->empty = true;
-          return Status::OK();
-        }
-      }
-    }
+    ReduceDown(*forest, &rels);
 
     for (size_t i = 0; i < comp.size(); ++i) reduced[comp[i]] = std::move(rels[i]);
   }
@@ -151,72 +128,31 @@ Status Normalize(const CQ& q0, const Database& d0, bool answers_constants_only,
     return Status::InvalidArgument(
         "projected prefix is cyclic; query is not acyclic + free-connex");
   }
-
-  // Group nodes per tree.
-  std::vector<int> tree_of(projected.size(), -1);
-  for (size_t i = 0; i < p_forest->roots.size(); ++i) {
-    // BFS from each root.
-    std::vector<int> stack{p_forest->roots[i]};
-    while (!stack.empty()) {
-      int v = stack.back();
-      stack.pop_back();
-      tree_of[v] = static_cast<int>(i);
-      for (int c : p_forest->children[v]) stack.push_back(c);
-    }
+  // Full reduction of q1, which establishes the progress condition (iv).
+  if (!ReduceUp(*p_forest, &projected)) {
+    out->empty = true;
+    return Status::OK();
   }
+  ReduceDown(*p_forest, &projected);
 
-  out->trees.resize(p_forest->roots.size());
+  // The preorder lists the trees one after another, so each tree's nodes
+  // are created in preorder (parents before children) and indexed at once.
   std::vector<int> local_id(projected.size(), -1);
-  // First pass: create nodes in preorder so parents precede children.
   for (int v : p_forest->PreOrder()) {
-    NormTree& tree = out->trees[tree_of[v]];
+    const int p = p_forest->parent[v];
+    if (p == -1) out->trees.emplace_back();
+    NormTree& tree = out->trees.back();
     local_id[v] = static_cast<int>(tree.nodes.size());
-    tree.nodes.emplace_back();
-    NormNode& node = tree.nodes.back();
+    NormNode& node = tree.nodes.emplace_back();
     node.vars = projected[v].vars();
     node.rel = std::move(projected[v]);
-    int p = p_forest->parent[v];
-    node.parent = p == -1 ? -1 : local_id[p];
-    if (node.parent != -1) {
-      tree.nodes[node.parent].children.push_back(local_id[v]);
-      VarSet shared = p_edges[v] & p_edges[p];
-      node.pred_vars = SetToSortedVars(shared);
+    if (p != -1) {
+      tree.nodes[local_id[p]].children.push_back(local_id[v]);
+      node.pred_vars = SetToSortedVars(p_edges[v] & p_edges[p]);
     }
     for (uint32_t var : node.vars) tree.vars |= VarBit(var);
-  }
-
-  // Full reduction per tree, then indexes and preorder.
-  for (NormTree& tree : out->trees) {
-    tree.root = 0;
-    tree.preorder.resize(tree.nodes.size());
-    for (size_t i = 0; i < tree.nodes.size(); ++i) {
-      tree.preorder[i] = static_cast<int>(i);  // creation order is preorder
-    }
-    // Bottom-up.
-    for (size_t i = tree.nodes.size(); i-- > 0;) {
-      NormNode& node = tree.nodes[i];
-      for (int child : node.children) {
-        SemijoinReduce(&node.rel, tree.nodes[child].rel);
-      }
-      if (node.rel.empty()) {
-        out->empty = true;
-        return Status::OK();
-      }
-    }
-    // Top-down.
-    for (size_t i = 0; i < tree.nodes.size(); ++i) {
-      for (int child : tree.nodes[i].children) {
-        SemijoinReduce(&tree.nodes[child].rel, tree.nodes[i].rel);
-        if (tree.nodes[child].rel.empty()) {
-          out->empty = true;
-          return Status::OK();
-        }
-      }
-    }
-    for (NormNode& node : tree.nodes) {
-      node.index = RowIndex(node.rel.Row(0), node.rel.NumRows(), node.rel.width(),
-                            node.rel.ColumnsOf(node.pred_vars));
-    }
+    node.index = RowIndex(node.rel.Row(0), node.rel.NumRows(), node.rel.width(),
+                          node.rel.ColumnsOf(node.pred_vars));
   }
   return Status::OK();
 }

@@ -4,17 +4,22 @@
 //
 //   * per variable-connected component of q0, build a join tree of
 //     atoms(q0) + G(x̄) via GYO rooted at the guard G;
-//   * materialize per-atom relations; run a bottom-up then top-down
-//     semijoin pass (full reduction); Boolean components are checked and
-//     dropped; purely-quantified subtrees are absorbed into their parents;
+//   * materialize per-atom relations; run ReduceUp then ReduceDown
+//     (eval/yannakakis.h: full reduction); Boolean components are checked
+//     and dropped; purely-quantified subtrees are absorbed into their
+//     parents;
 //   * project the nodes containing answer variables onto their answer
 //     variables, build a join tree of the projected node sets (q1's tree),
-//     and fully reduce again, which establishes the progress condition (iv).
+//     and fully reduce again with the same passes, which establishes the
+//     progress condition (iv).
 //
 // The result is a forest of full (quantifier-free), acyclic, self-join-free
 // query trees over pairwise disjoint answer variables with
 // q1(D1) = q0(D0) — including null values, so the same structure feeds the
-// Section 5/6 partial-answer machinery (condition (ii)).
+// Section 5/6 partial-answer machinery (condition (ii)). Each tree stores
+// its nodes in preorder, so node 0 is its root and a parent precedes its
+// children. The relations are plain row arrays; only projection drops
+// repeated rows.
 #ifndef OMQE_EVAL_NORMALIZE_H_
 #define OMQE_EVAL_NORMALIZE_H_
 
@@ -33,7 +38,6 @@ struct NormNode {
   std::vector<uint32_t> vars;
   /// Reduced relation over `vars` (values may be nulls).
   VarRelation rel;
-  int parent = -1;
   std::vector<int> children;
   /// Variables shared with the parent (the predecessor variables of §5).
   std::vector<uint32_t> pred_vars;
@@ -42,19 +46,18 @@ struct NormNode {
   RowIndex index;
 };
 
-/// One connected q1 join tree.
+/// One connected q1 join tree, its nodes in preorder (node 0 is the root).
 struct NormTree {
   std::vector<NormNode> nodes;
-  int root = 0;
-  std::vector<int> preorder;
   VarSet vars = 0;
 };
 
 struct Normalized {
   /// True when q0(D0) is empty (some Boolean component failed or a relation
-  /// drained during reduction).
+  /// drained during reduction). An empty normalization has no trees.
   bool empty = false;
-  /// Pairwise variable-disjoint trees covering all answer variables.
+  /// Pairwise variable-disjoint trees covering all answer variables, in the
+  /// order of q1's join-forest roots.
   std::vector<NormTree> trees;
 };
 

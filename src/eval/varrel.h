@@ -1,10 +1,16 @@
-// VarRelation: a materialized relation whose columns are query variables.
-// The Yannakakis passes, the (q1, D1) normalization and the enumerators all
-// manipulate these: semijoin reduction and projection. Hash indexes over
-// them are RowIndexes (data/index.h) keyed by ColumnsOf(variables).
+// VarRelation: a materialized relation whose columns are query variables,
+// stored as a plain row-major array. The Yannakakis passes, the (q1, D1)
+// normalization and the enumerators all manipulate these: semijoin
+// reduction and projection. Hash indexes over them are RowIndexes
+// (data/index.h) keyed by ColumnsOf(variables).
+//
+// A relation is a set of rows without a table of its own: an atom's matches
+// are distinct (see AddRow), a semijoin keeps a subset of its rows, and only
+// Project can repeat a row, so it drops repeats itself.
 #ifndef OMQE_EVAL_VARREL_H_
 #define OMQE_EVAL_VARREL_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -27,32 +33,18 @@ class VarRelation {
     return data_.data() + static_cast<size_t>(r) * width();
   }
 
-  /// Pre-sizes storage and the dedup table for `rows` total rows: one
-  /// up-front sizing, so a bulk AddRow load performs no intermediate rehash.
+  /// Pre-sizes storage for `rows` total rows.
   void Reserve(uint32_t rows) {
-    if (width() == 0) return;
     data_.reserve(static_cast<size_t>(rows) * width());
-    dedup_.Reserve(rows, static_cast<size_t>(rows) * width());
   }
 
-  /// Appends a row unless an identical row is present; returns true if added.
-  bool AddRow(const Value* row) {
-    if (width() == 0) {
-      if (num_rows_ > 0) return false;
-      ++num_rows_;
-      return true;
-    }
-    char& seen = dedup_.InsertOrGet(row, width(), 0);
-    if (seen) return false;
-    seen = 1;
+  /// Appends a row. The caller keeps the relation a set: MaterializeAtom
+  /// adds one row per matching fact, and two distinct facts that match an
+  /// atom differ at a variable position (constant positions and repeated
+  /// variables are checked equal), so they give distinct rows.
+  void AddRow(const Value* row) {
     data_.insert(data_.end(), row, row + width());
     ++num_rows_;
-    return true;
-  }
-
-  bool ContainsRow(const Value* row) const {
-    if (width() == 0) return num_rows_ > 0;
-    return dedup_.Find(row, width()) != nullptr;
   }
 
   /// Position of variable `v` in the column list, or UINT32_MAX.
@@ -75,50 +67,41 @@ class VarRelation {
     return cols;
   }
 
-  /// Keeps only the rows for which `pred(row)` holds.
+  /// Keeps only the rows for which `pred(row)` holds, in their order.
   template <typename Pred>
   void Filter(Pred&& pred) {
-    VarRelation fresh(vars_);
-    fresh.Reserve(num_rows_);
+    uint32_t kept = 0;
     for (uint32_t r = 0; r < num_rows_; ++r) {
-      if (pred(Row(r))) fresh.AddRow(Row(r));
+      if (!pred(Row(r))) continue;
+      if (kept != r) {
+        std::copy_n(Row(r), width(),
+                    data_.begin() + static_cast<size_t>(kept) * width());
+      }
+      ++kept;
     }
-    *this = std::move(fresh);
+    num_rows_ = kept;
+    data_.resize(static_cast<size_t>(kept) * width());
   }
 
-  /// Releases over-reserved storage: shrinks the tuple data to fit and
-  /// rebuilds the dedup table sized for the actual row count. O(rows); a
-  /// no-op gain unless the relation was reserved far beyond its final size.
-  void ShrinkToFit() {
-    if (width() == 0) return;
-    data_.shrink_to_fit();
-    TupleMap<char> fresh;
-    fresh.Reserve(num_rows_, static_cast<size_t>(num_rows_) * width());
-    for (uint32_t r = 0; r < num_rows_; ++r) {
-      fresh.InsertOrGet(Row(r), width(), 1);
-    }
-    dedup_ = std::move(fresh);
-  }
-
-  /// Dedup-table statistics (tests assert that heavily collapsing
-  /// projections do not retain source-row-count capacity).
-  HashStats DedupStats() const { return dedup_.Stats(); }
-
-  /// Projection onto a subset of this relation's variables (deduplicated).
-  /// The output is reserved for the source row count (the upper bound);
-  /// heavily collapsing projections shrink back to their deduped size.
+  /// Projection onto a subset of this relation's variables: each distinct
+  /// projected row once, in order of first occurrence. The table that drops
+  /// repeats is sized for this relation's rows, an upper bound, and freed
+  /// on return.
   VarRelation Project(const std::vector<uint32_t>& onto_vars) const {
     VarRelation out(onto_vars);
-    out.Reserve(num_rows_);
     std::vector<uint32_t> cols = ColumnsOf(onto_vars);
+    TupleMap<char> seen;
+    seen.Reserve(num_rows_, static_cast<size_t>(num_rows_) * out.width());
     ValueTuple tmp;
-    tmp.resize(static_cast<uint32_t>(cols.size()));
+    tmp.resize(out.width());
     for (uint32_t r = 0; r < num_rows_; ++r) {
       const Value* row = Row(r);
       for (uint32_t i = 0; i < cols.size(); ++i) tmp[i] = row[cols[i]];
+      char& repeat = seen.InsertOrGet(tmp.data(), tmp.size(), 0);
+      if (repeat) continue;
+      repeat = 1;
       out.AddRow(tmp.data());
     }
-    if (out.num_rows_ * 2 <= num_rows_) out.ShrinkToFit();
     return out;
   }
 
@@ -126,7 +109,6 @@ class VarRelation {
   std::vector<uint32_t> vars_;
   std::vector<Value> data_;
   uint32_t num_rows_ = 0;
-  TupleMap<char> dedup_;
 };
 
 /// Shared variables of two relations, in `a`'s column order.

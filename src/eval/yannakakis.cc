@@ -5,8 +5,7 @@
 
 namespace omqe {
 
-VarRelation MaterializeAtom(const CQ& q, const Atom& atom, const Database& db) {
-  (void)q;
+VarRelation MaterializeAtom(const Atom& atom, const Database& db) {
   // Distinct variables in first-occurrence order.
   std::vector<uint32_t> vars;
   for (Term t : atom.terms) {
@@ -59,16 +58,32 @@ bool BooleanAcyclicEval(const CQ& q, const Database& db) {
   std::vector<VarRelation> rels;
   rels.reserve(q.atoms().size());
   for (const Atom& a : q.atoms()) {
-    rels.push_back(MaterializeAtom(q, a, db));
+    rels.push_back(MaterializeAtom(a, db));
     if (rels.back().empty()) return false;
   }
-  for (int v : forest->BottomUp()) {
-    for (int child : forest->children[v]) {
-      SemijoinReduce(&rels[v], rels[child]);
-      if (rels[v].empty()) return false;
+  return ReduceUp(*forest, &rels);
+}
+
+bool ReduceUp(const JoinForest& forest, std::vector<VarRelation>* rels) {
+  const int n = static_cast<int>(rels->size());
+  for (int v : forest.BottomUp()) {
+    if (v >= n) continue;
+    for (int child : forest.children[v]) {
+      if (child < n) SemijoinReduce(&(*rels)[v], (*rels)[child]);
     }
+    if ((*rels)[v].empty()) return false;
   }
   return true;
+}
+
+void ReduceDown(const JoinForest& forest, std::vector<VarRelation>* rels) {
+  const int n = static_cast<int>(rels->size());
+  for (int v : forest.PreOrder()) {
+    if (v >= n) continue;
+    for (int child : forest.children[v]) {
+      if (child < n) SemijoinReduce(&(*rels)[child], (*rels)[v]);
+    }
+  }
 }
 
 CQ BindAnswerVars(const CQ& q, const ValueTuple& tuple) {

@@ -17,63 +17,56 @@ TEST(VarRelationTest, AddProjectFilter) {
   VarRelation r({0, 1});
   Value t1[2] = {10, 20};
   Value t2[2] = {10, 21};
-  EXPECT_TRUE(r.AddRow(t1));
-  EXPECT_FALSE(r.AddRow(t1));
-  EXPECT_TRUE(r.AddRow(t2));
-  EXPECT_EQ(r.NumRows(), 2u);
-  EXPECT_TRUE(r.ContainsRow(t1));
+  Value t3[2] = {11, 21};
+  Value t4[2] = {12, 20};
+  for (const Value* t : {t1, t2, t3, t4}) r.AddRow(t);
+  EXPECT_EQ(r.NumRows(), 4u);
   VarRelation p = r.Project({0});
-  EXPECT_EQ(p.NumRows(), 1u);  // both rows collapse to (10)
-  r.Filter([](const Value* row) { return row[1] == 21; });
-  EXPECT_EQ(r.NumRows(), 1u);
+  EXPECT_EQ(p.NumRows(), 3u);  // (10) twice collapses to one row
+  r.Filter([](const Value* row) { return row[0] != 10; });
+  ASSERT_EQ(r.NumRows(), 2u);
+  // The kept rows stay in their order, compacted to the front.
+  EXPECT_EQ(r.Row(0)[0], 11u);
+  EXPECT_EQ(r.Row(0)[1], 21u);
+  EXPECT_EQ(r.Row(1)[0], 12u);
+  EXPECT_EQ(r.Row(1)[1], 20u);
 }
 
-TEST(VarRelationTest, ProjectShrinksHeavilyCollapsingOutput) {
-  // 20k source rows collapse to 8 distinct projected rows; the projection
-  // must not keep source-row-count capacity in its dedup table or data.
+TEST(VarRelationTest, ProjectKeepsFirstOccurrenceOrder) {
+  // 20k source rows collapse to 8 distinct projected rows, each kept once
+  // where it first occurs; the source rows run through the 8 values from
+  // the last to the first.
   constexpr uint32_t kRows = 20000;
   VarRelation r({0, 1});
-  r.Reserve(kRows);
   for (uint32_t i = 0; i < kRows; ++i) {
-    Value row[2] = {i, 1000000u + (i % 8)};
+    Value row[2] = {i, 1000000u + (7 - i % 8)};
     r.AddRow(row);
   }
   VarRelation p = r.Project({1});
   ASSERT_EQ(p.NumRows(), 8u);
-  HashStats stats = p.DedupStats();
-  EXPECT_EQ(stats.size, 8u);
-  EXPECT_LE(stats.capacity, 64u) << "dedup table kept source-row capacity";
+  for (uint32_t k = 0; k < 8; ++k) EXPECT_EQ(p.Row(k)[0], 1000000u + (7 - k));
 
-  // A non-collapsing projection keeps its rows and stays functional.
-  VarRelation q = r.Project({0, 1});
-  EXPECT_EQ(q.NumRows(), kRows);
-  Value probe[2] = {17u, 1000000u + (17 % 8)};
-  EXPECT_TRUE(q.ContainsRow(probe));
-}
-
-TEST(VarRelationTest, ShrinkToFitPreservesContents) {
-  VarRelation r({0});
-  r.Reserve(4096);
-  for (uint32_t i = 0; i < 5; ++i) {
-    Value row[1] = {i};
-    r.AddRow(row);
-  }
-  r.ShrinkToFit();
-  EXPECT_EQ(r.NumRows(), 5u);
-  for (uint32_t i = 0; i < 5; ++i) {
-    Value row[1] = {i};
-    EXPECT_TRUE(r.ContainsRow(row));
-    EXPECT_FALSE(r.AddRow(row));  // dedup table rebuilt correctly
-  }
-  EXPECT_LE(r.DedupStats().capacity, 16u);
+  // Projecting onto the columns in another order keeps every row, in the
+  // source's order.
+  VarRelation q = r.Project({1, 0});
+  ASSERT_EQ(q.NumRows(), kRows);
+  EXPECT_EQ(q.Row(17)[0], 1000000u + (7 - 17 % 8));
+  EXPECT_EQ(q.Row(17)[1], 17u);
 }
 
 TEST(VarRelationTest, ZeroWidthSemantics) {
   VarRelation r(std::vector<uint32_t>{});
   EXPECT_TRUE(r.empty());
-  EXPECT_TRUE(r.AddRow(nullptr));
-  EXPECT_FALSE(r.AddRow(nullptr));
+  EXPECT_TRUE(r.Project({}).empty());
+  r.AddRow(nullptr);
   EXPECT_EQ(r.NumRows(), 1u);
+  EXPECT_EQ(r.Project({}).NumRows(), 1u);
+
+  // A projection onto no variables holds at most one row, however many
+  // rows its source has.
+  VarRelation wide({0});
+  for (Value v = 0; v < 5; ++v) wide.AddRow(&v);
+  EXPECT_EQ(wide.Project({}).NumRows(), 1u);
 }
 
 TEST(VarRelationTest, SemijoinSharedAndDisjoint) {
@@ -151,11 +144,56 @@ TEST(YannakakisTest, MaterializeAtomFiltersConstantsAndRepeats) {
   World w;
   w.Load("T(a,b,a) T(a,b,c) T(b,b,b)");
   CQ q = w.Query("q(x, y) :- T(x, y, x)");
-  VarRelation r = MaterializeAtom(q, q.atoms()[0], w.db);
+  VarRelation r = MaterializeAtom(q.atoms()[0], w.db);
   EXPECT_EQ(r.NumRows(), 2u);  // (a,b) and (b,b)
   CQ q2 = w.Query("q(x) :- T('a', x, y)");
-  VarRelation r2 = MaterializeAtom(q2, q2.atoms()[0], w.db);
+  VarRelation r2 = MaterializeAtom(q2.atoms()[0], w.db);
   EXPECT_EQ(r2.NumRows(), 2u);
+}
+
+TEST(YannakakisTest, MaterializeAtomGivesOneRowPerMatchingFact) {
+  // A relation keeps no table of its own: it is a set because the database
+  // is one and each matching fact gives exactly one row. Nulls count as
+  // values like any other here.
+  World w;
+  RelId t = w.vocab.RelationId("T", 3);
+  RelId z = w.vocab.RelationId("Z", 0);
+  const Value a = w.C("a"), b = w.C("b");
+  const Value n1 = w.db.FreshNull(), n2 = w.db.FreshNull();
+  const std::vector<std::vector<Value>> facts = {
+      {a, n1, a}, {a, n2, a}, {n1, n1, a}, {n1, b, n1},
+      {n2, b, n2}, {a, b, a}, {n1, n1, n1}, {a, a, a},
+  };
+  for (const auto& f : facts) ASSERT_TRUE(w.db.AddFact(t, f.data(), 3));
+  EXPECT_FALSE(w.db.AddFact(t, facts[0].data(), 3));  // already present
+  EXPECT_TRUE(w.db.AddFact(z, nullptr, 0));
+  EXPECT_FALSE(w.db.AddFact(z, nullptr, 0));
+
+  struct Case {
+    const char* query;
+    uint32_t rows;  // matching facts, counted by hand
+  };
+  const Case cases[] = {
+      {"q(x, y) :- T(x, y, x)", 7},        // repeated variable
+      {"q(y) :- T('a', y, 'a')", 4},       // constants
+      {"q(x) :- T(x, x, x)", 2},           // one variable three times
+      {"q(x, y) :- T(x, x, y)", 3},
+      {"q() :- T('a', 'b', 'a')", 1},      // no variables, one match
+      {"q() :- T('b', 'b', 'b')", 0},      // no variables, no match
+      {"q() :- Z()", 1},                   // a 0-ary fact
+  };
+  for (const Case& c : cases) {
+    CQ q = w.Query(c.query);
+    VarRelation r = MaterializeAtom(q.atoms()[0], w.db);
+    EXPECT_EQ(r.NumRows(), c.rows) << c.query;
+    if (r.width() == 0) continue;
+    TupleMap<char> distinct;
+    for (uint32_t i = 0; i < r.NumRows(); ++i) {
+      char& seen = distinct.InsertOrGet(r.Row(i), r.width(), 0);
+      EXPECT_EQ(seen, 0) << c.query << " repeats row " << i;
+      seen = 1;
+    }
+  }
 }
 
 TEST(YannakakisTest, BooleanAcyclicAgainstBrute) {
@@ -240,9 +278,12 @@ TEST(NormalizeTest, RejectsNonFreeConnex) {
 }
 
 TEST(NormalizeTest, ProgressCondition) {
-  // Every row of every node must extend to a child row (condition (iv)).
+  // Every row of every node must extend to a child row (condition (iv)),
+  // and full reduction leaves every child row a parent row. The last six
+  // facts join no answer, so whichever node q1's tree is rooted at, some
+  // child holds a row that only the top-down pass removes.
   World w;
-  w.Load("R(a,b) R(a,c) S(b,d) T(d) U(a)");
+  w.Load("R(a,b) R(a,c) S(b,d) T(d) U(a) S(e,f) U(g) R(h,i) U(h) R(m,n) S(n,o)");
   CQ q = w.Query("q(x, y, z) :- R(x, y), S(y, z), U(x)");
   Normalized norm;
   ASSERT_TRUE(Normalize(q, w.db, false, &norm).ok());
@@ -258,6 +299,17 @@ TEST(NormalizeTest, ProgressCondition) {
             key.push_back(node.rel.Row(r)[node.rel.ColumnOf(pv)]);
           }
           EXPECT_NE(child.index.First(key.data()), UINT32_MAX);
+        }
+        for (uint32_t r = 0; r < child.rel.NumRows(); ++r) {
+          bool has_parent = false;
+          for (uint32_t p = 0; p < node.rel.NumRows() && !has_parent; ++p) {
+            has_parent = true;
+            for (uint32_t pv : child.pred_vars) {
+              has_parent &= child.rel.Row(r)[child.rel.ColumnOf(pv)] ==
+                            node.rel.Row(p)[node.rel.ColumnOf(pv)];
+            }
+          }
+          EXPECT_TRUE(has_parent) << "child row " << r << " has no parent row";
         }
       }
     }

@@ -384,6 +384,50 @@ TEST_P(HardPropertyTest, AllModesMatchBrute) {
       << "seed=" << GetParam() << " q=" << inst.query.ToString(inst.world->vocab);
 }
 
+// The complete-answer testers over the same family: AllTester probes the
+// row sets of its normalizations' nodes and SingleTester runs the Boolean
+// Yannakakis test, both over relations that are sets only by construction,
+// so constants and repeated answer variables are where a repeated or
+// missing row would show.
+TEST_P(HardPropertyTest, CompleteTestersMatchBrute) {
+  RandomInstance inst = MakeRandomHard(GetParam());
+  OMQ omq = MakeOMQ(inst.onto, inst.query);
+  auto all = AllTester::Create(omq, inst.world->db);
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  auto single = SingleTester::Create(omq, inst.world->db);
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  std::vector<ValueTuple> answers =
+      BruteCompleteAnswers(inst.query, (*all)->chase().db);
+  EXPECT_TRUE(SameTupleSet(
+      answers, BruteCompleteAnswers(inst.query, (*single)->chase().db)));
+  TupleMap<char> set;
+  for (const auto& a : answers) set.InsertOrGet(a.data(), a.size(), 1);
+  const std::string where =
+      "seed=" + std::to_string(GetParam()) + " q=" +
+      inst.query.ToString(inst.world->vocab);
+  for (const auto& a : answers) {
+    EXPECT_TRUE((*all)->Test(a)) << where << " cand=" << inst.world->Render(a);
+    EXPECT_TRUE((*single)->TestComplete(a))
+        << where << " cand=" << inst.world->Render(a);
+  }
+  std::vector<Value> dom;
+  for (Value v : inst.world->db.ActiveDomain()) {
+    if (IsConstant(v)) dom.push_back(v);
+  }
+  Rng rng(GetParam() ^ 0xfeed);
+  const uint32_t arity = inst.query.arity();
+  if (dom.empty()) return;
+  for (int i = 0; i < 30; ++i) {
+    ValueTuple cand;
+    for (uint32_t p = 0; p < arity; ++p) cand.push_back(dom[rng.Below(dom.size())]);
+    const bool want = set.Find(cand.data(), cand.size()) != nullptr;
+    EXPECT_EQ((*all)->Test(cand), want)
+        << where << " cand=" << inst.world->Render(cand);
+    EXPECT_EQ((*single)->TestComplete(cand), want)
+        << where << " cand=" << inst.world->Render(cand);
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Seeds, HardPropertyTest,
                          ::testing::Range<uint64_t>(0, 80));
 
