@@ -73,8 +73,8 @@ class ChaseEngine {
     // A match between a delta fact and a fact created in the SAME round is
     // not seen in this round (phase A reads the round-start state), but is
     // rediscovered next round from the created fact's own delta plan — the
-    // semi-naive argument; the applied_ table fires each body assignment
-    // once either way, so the fixpoint fact set is unchanged.
+    // semi-naive argument; each body assignment fires once either way (see
+    // Apply), so the fixpoint fact set is unchanged.
     while (!delta_.empty()) {
       // Round-boundary checkpoints: cooperative cancellation/deadline and
       // the chase.round fault point. Aborting here (or mid-round below)
@@ -132,7 +132,10 @@ class ChaseEngine {
   /// maintenance. The seeded facts form the initial delta.
   Status SeedInputFacts() {
     size_t total = std::min(input_.TotalFacts(), options_.max_facts);
-    applied_.Reserve(total);
+    if (std::any_of(onto_.tgds().begin(), onto_.tgds().end(),
+                    [](const TGD& tgd) { return tgd.body().size() > 1; })) {
+      applied_.Reserve(total);
+    }
     delta_.reserve(total);
     size_t seeded = 0;
     for (RelId r = 0; r < input_.NumRelationSlots(); ++r) {
@@ -324,7 +327,8 @@ class ChaseEngine {
   /// Buffers candidate (t, body values). A body assignment can be emitted
   /// once per plan whose delta atom matched a delta fact, so at most |body|
   /// times per round; Apply's applied_ table skips (or re-suppresses) every
-  /// repeat, so repeats never change the applied sequence.
+  /// repeat of a multi-atom body, so repeats never change the applied
+  /// sequence. A one-atom body is emitted once per run (see Apply).
   void EmitCandidate(uint32_t t) {
     // A single delta fact can join-explode, so the per-fact checkpoint in
     // MatchRound is not enough: check per candidate too (one compare when
@@ -389,43 +393,49 @@ class ChaseEngine {
 
   /// Fires TGD `t` under a complete body assignment (oblivious semantics:
   /// once per (TGD, body tuple), even if the head is already satisfied).
+  /// Only a body of two or more atoms needs the applied_ table to fire
+  /// once: a fact enters delta_ once (SeedInputFacts and AddFact push only
+  /// facts the database accepted), a one-atom body has one plan, and
+  /// distinct facts give its all-variable atom distinct assignments. So a
+  /// one-atom body's application is discovered at most once per run, and
+  /// an empty body fires once, directly in Run.
   Status Apply(uint32_t t, std::vector<Value>& assign) {
     const TGD& tgd = onto_.tgds()[t];
-    // Dedup key: TGD id followed by the values of its body variables.
-    // (Scratch member: Apply fires once per body match, the hottest path of
-    // the delta loop, and the key regularly outgrows SmallVec inline space.)
-    ValueTuple& key = key_;
-    key.clear();
-    key.push_back(t);
-    VarSet body_vars = tgd.BodyVars();
-    VarSet rest = body_vars;
+    const VarSet body_vars = tgd.BodyVars();
     uint32_t max_depth = 0;
-    while (rest) {
-      uint32_t v = static_cast<uint32_t>(__builtin_ctzll(rest));
-      rest &= rest - 1;
-      key.push_back(assign[v]);
-      if (IsNull(assign[v])) {
-        max_depth = std::max(max_depth, null_depth_[NullIndex(assign[v])]);
-      }
+    for (VarSet rest = body_vars; rest; rest &= rest - 1) {
+      const Value val = assign[__builtin_ctzll(rest)];
+      if (IsNull(val)) max_depth = std::max(max_depth, null_depth_[NullIndex(val)]);
     }
     // The resolve step of this application (dedup + cap check).
     if (FaultFires(kFaultChaseApply)) {
       return Status::Internal("injected fault at chase.apply");
     }
-    uint8_t& applied = applied_.InsertOrGet(key.data(), key.size(), 0);
-    if (applied) return Status::OK();
+    uint8_t* applied = nullptr;
+    if (tgd.body().size() > 1) {
+      // Dedup key: TGD id followed by the values of its body variables.
+      // (Scratch member: the key regularly outgrows SmallVec inline space.)
+      key_.clear();
+      key_.push_back(t);
+      for (VarSet rest = body_vars; rest; rest &= rest - 1) {
+        key_.push_back(assign[__builtin_ctzll(rest)]);
+      }
+      applied = &applied_.InsertOrGet(key_.data(), key_.size(), 0);
+      if (*applied) return Status::OK();
+    }
 
     VarSet existentials = tgd.ExistentialVars();
     uint32_t block = UINT32_MAX;
     if (existentials) {
       if (options_.mode == ChaseMode::kRestricted && HeadSatisfied(t, assign, 0)) {
-        applied = 1;  // monotone: once satisfied, always satisfied
+        // Monotone: once satisfied, always satisfied.
+        if (applied != nullptr) *applied = 1;
         return Status::OK();
       }
       if (max_depth + 1 > options_.null_depth) {
         result_->truncated = true;
-        // Leave the entry unset so a later run with a larger cap would
-        // fire; within this run it is cheap to re-suppress.
+        // A multi-atom body leaves its entry unset: a rediscovery is
+        // re-suppressed here, as cheaply.
         return Status::OK();
       }
       block = PickBlock(tgd, assign, body_vars);
@@ -442,7 +452,7 @@ class ChaseEngine {
       result_->stats.nulls_invented +=
           static_cast<uint64_t>(__builtin_popcountll(existentials));
     }
-    applied = 1;
+    if (applied != nullptr) *applied = 1;
     ++result_->stats.applied;
 
     ValueTuple tuple;
@@ -522,10 +532,11 @@ class ChaseEngine {
   std::vector<std::vector<PlanStep>> head_plans_;
   std::vector<JoinIndex> indexes_;
   std::vector<std::vector<uint32_t>> rel_indexes_;
-  /// Application dedup: TGD id + body values -> 1 once the application
-  /// fired (or, in restricted mode, found its head satisfied). A
-  /// cap-suppressed application leaves its entry 0 and is re-suppressed if
-  /// rediscovered.
+  /// Application dedup for TGDs with two or more body atoms (the only
+  /// ones whose applications are discovered more than once; see Apply):
+  /// TGD id + body values -> 1 once the application fired (or, in
+  /// restricted mode, found its head satisfied). A cap-suppressed
+  /// application leaves its entry 0 and is re-suppressed if rediscovered.
   TupleMap<uint8_t> applied_;
   std::vector<uint32_t> null_depth_;
   std::vector<uint32_t> null_block_;
@@ -539,7 +550,7 @@ class ChaseEngine {
   bool match_aborted_ = false;  // a cancel checkpoint failed mid-match
   // Scratch buffers reused across the delta loop (no per-fact allocation).
   std::vector<Value> assign_;
-  ValueTuple key_;
+  ValueTuple key_;  // applied_'s key
 };
 
 }  // namespace

@@ -202,31 +202,32 @@ void PreparedOMQ::CollectFromRow(int slot, uint32_t row) {
 
 void PreparedOMQ::CollectProgressTrees() {
   // Prune's location probes mostly miss, and a miss scans to the next empty
-  // slot, so the location table is sized from the total row count (every
-  // database row contributes at most one single-atom progress tree, keyed by
-  // the row's values): sparser than growth alone would leave it. The pool
-  // and the list table grow to their real size.
+  // slot, so the location table's slots are sized from the total row count
+  // (every row roots at most one single-atom progress tree): sparser than
+  // its starred trees alone would leave it. Its key arena, the pool and the
+  // list table grow to their real size.
   size_t total_rows = 0;
-  size_t total_key_words = 0;
   for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
-    const VarRelation& rel = NodeOf(s).rel;
-    total_rows += rel.NumRows();
-    total_key_words += static_cast<size_t>(rel.NumRows()) * (1 + rel.width());
+    total_rows += NodeOf(s).rel.NumRows();
   }
-  location_.Reserve(total_rows, total_key_words);
+  location_.Reserve(total_rows);
 
   // A list trees(v, h) roots exactly at the rows of h's chain in v's
   // predecessor index, so each list is collected from its chain, starting
-  // at the chain's head: its first row, since bulk-built chains ascend. A
-  // row with a null predecessor value roots no tree; it only appears deeper
-  // inside other slots' excursions.
+  // at the chain's head. Bulk-built chains ascend, so scanning rows in
+  // order, the first row of a chain not yet walked is its head. A row with
+  // a null predecessor value roots no tree; it only appears deeper inside
+  // other slots' excursions.
   list_begin_.assign(1, 0);
-  ValueTuple list_key;  // [slot, h|pred...]
+  ValueTuple list_key;           // [slot, h|pred...]
+  std::vector<ListOrder> order;  // CloseList's scratch, freed on return
   for (int s = 0; s < static_cast<int>(slots_.size()); ++s) {
     const NormNode& node = NodeOf(s);
     const uint32_t width = node.rel.width();
     const uint32_t single_subtree = SubtreeIdFor(uint64_t{1} << s, s);
+    std::vector<bool> walked(node.rel.NumRows());
     for (uint32_t head = 0; head < node.rel.NumRows(); ++head) {
+      if (walked[head]) continue;
       list_key.clear();
       list_key.push_back(static_cast<uint32_t>(s));
       const Value* first = node.rel.Row(head);
@@ -235,9 +236,10 @@ void PreparedOMQ::CollectProgressTrees() {
         pred_null |= IsNull(first[c]);
         list_key.push_back(first[c]);
       }
-      if (pred_null || node.index.First(list_key.data() + 1) != head) continue;
+      if (pred_null) continue;
       const uint32_t list = static_cast<uint32_t>(list_begin_.size() - 1);
       for (uint32_t r = head; r != UINT32_MAX; r = node.index.Next(r)) {
+        walked[r] = true;
         const Value* tuple = node.rel.Row(r);
         if (std::none_of(tuple, tuple + width, IsNull)) {
           // A single-atom database tree. The node's columns are its
@@ -249,7 +251,7 @@ void PreparedOMQ::CollectProgressTrees() {
           CollectFromRow(s, r);  // the root of a null excursion
         }
       }
-      CloseList(list_key);
+      CloseList(list_key, &order);
     }
   }
   pool_.shrink_to_fit();
@@ -274,33 +276,53 @@ void PreparedOMQ::CollectProgressTrees() {
 //  (a) h binds v's variables to a null-free row. That row's single-atom
 //      tree has no stars and is in this list. The order below sorts by
 //      subtree size, then star count, so the list's first tree has no
-//      stars, and a tree without stars is never pruned.
+//      stars. A tree without stars is never pruned, by construction: only
+//      starred trees enter the location table, Prune's one way to a tree.
 //  (b) That row has a null, so it roots an excursion: CollectFromRow puts
 //      (q_h, h|var(q_h)) into the same list, where q_h is the subtree that
 //      h's nulls force from v. Every child that h forces, g' forces too,
 //      because h's stars on var(q) lie inside S. So q_h ⊆ q, and
 //      (q_h, h|var(q_h)) has fewer stars than |S|: it sorts before (q, g').
 // LinkOverlay::Unlink checks this.
-void PreparedOMQ::CloseList(const ValueTuple& list_key) {
+void PreparedOMQ::CloseList(const ValueTuple& list_key,
+                            std::vector<ListOrder>* order) {
   const uint32_t begin = list_begin_.back();
-  auto stars = [](const PTree& t) {
-    return static_cast<uint32_t>(std::count(t.g.begin(), t.g.end(), kStar));
-  };
-  std::sort(pool_.begin() + begin, pool_.end(),
-            [&](const PTree& a, const PTree& b) {
-              const uint64_t ma = subtrees_[a.subtree].mask;
-              const uint64_t mb = subtrees_[b.subtree].mask;
-              const int pa = __builtin_popcountll(ma);
-              const int pb = __builtin_popcountll(mb);
-              if (pa != pb) return pa < pb;  // V_q ⊊ V_q' first
-              const uint32_t sa = stars(a), sb = stars(b);
-              if (sa != sb) return sa < sb;  // fewer wildcards first
-              if (ma != mb) return ma < mb;
-              return a.g < b.g;              // deterministic tie-break
+  const uint32_t n = static_cast<uint32_t>(pool_.size()) - begin;
+  order->clear();
+  for (uint32_t id = begin; id < pool_.size(); ++id) {
+    const PTree& t = pool_[id];
+    const uint64_t mask = subtrees_[t.subtree].mask;
+    order->push_back(ListOrder{
+        static_cast<uint32_t>(__builtin_popcountll(mask)),
+        static_cast<uint32_t>(std::count(t.g.begin(), t.g.end(), kStar)), mask,
+        id});
+  }
+  std::sort(order->begin(), order->end(),
+            [&](const ListOrder& a, const ListOrder& b) {
+              if (a.size != b.size) return a.size < b.size;  // V_q ⊊ V_q' first
+              if (a.stars != b.stars) return a.stars < b.stars;  // fewer stars first
+              if (a.mask != b.mask) return a.mask < b.mask;
+              return pool_[a.id].g < pool_[b.id].g;  // deterministic tie-break
             });
+  // Move each tree to its sorted place, one cycle of the permutation at a
+  // time; a placed entry's id becomes its own place.
+  for (uint32_t k = 0; k < n; ++k) {
+    if ((*order)[k].id == begin + k) continue;
+    PTree held = std::move(pool_[begin + k]);
+    for (uint32_t j = k;;) {
+      const uint32_t from = (*order)[j].id;
+      (*order)[j].id = begin + j;
+      if (from == begin + k) {
+        pool_[begin + j] = std::move(held);
+        break;
+      }
+      pool_[begin + j] = std::move(pool_[from]);
+      j = from - begin;
+    }
+  }
   // Rows that differ only in their nulls give the same tree. A tree fixes
   // its root slot and the root's predecessor values, so repeats only occur
-  // inside one list.
+  // inside one list, where the sort leaves them adjacent.
   pool_.erase(std::unique(pool_.begin() + begin, pool_.end(),
                           [](const PTree& a, const PTree& b) {
                             return a.subtree == b.subtree && a.g == b.g;
@@ -311,6 +333,7 @@ void PreparedOMQ::CloseList(const ValueTuple& list_key) {
   OMQE_CHECK(pool_.size() > begin);
   ValueTuple loc_key;  // [subtree, g...]
   for (uint32_t id = begin; id < pool_.size(); ++id) {
+    if (!pool_[id].g.contains(kStar)) continue;  // no Prune probe finds it
     loc_key.clear();
     loc_key.push_back(pool_[id].subtree);
     for (Value v : pool_[id].g) loc_key.push_back(v);

@@ -119,9 +119,18 @@ class PreparedOMQ {
   void BuildSlots();
   void CollectProgressTrees();
   void CollectFromRow(int slot, uint32_t row);
-  /// Sorts, deduplicates and enters the list being collected; see the proof
-  /// in prepared.cc that a list's first tree is never pruned.
-  void CloseList(const ValueTuple& list_key);
+  /// A tree's place in the database-preferring order, computed once per
+  /// tree: subtree size, star count, slot mask, then the tree's g.
+  struct ListOrder {
+    uint32_t size;   // subtree nodes
+    uint32_t stars;  // kStar values in g
+    uint64_t mask;   // subtree slot mask
+    uint32_t id;     // pool id
+  };
+  /// Sorts, deduplicates and enters the list being collected, with `order`
+  /// as scratch; see the proof in prepared.cc that a list's first tree is
+  /// never pruned.
+  void CloseList(const ValueTuple& list_key, std::vector<ListOrder>* order);
   /// The subtree with slot mask `mask`, created on first use.
   uint32_t SubtreeIdFor(uint64_t mask, int root_slot);
   /// Appends the tree of `subtree` under `hom` to the list being collected.
@@ -154,7 +163,10 @@ class PreparedOMQ {
   /// (subtree, stars). Trees without wildcards need no entry: a ≻db probe
   /// always stars at least one variable.
   std::vector<StarPattern> star_patterns_;
-  TupleMap<uint32_t> location_;   // [subtree, g...] -> pool id
+  /// [subtree, g...] -> pool id, for trees with a wildcard only: every key
+  /// Prune probes stars at least one variable, so it never finds a
+  /// star-free tree.
+  TupleMap<uint32_t> location_;
   TupleMap<uint32_t> list_ids_;   // [root_slot, h|pred...] -> list id
   /// Cleared link buffers that closed sessions handed back (sessions hold
   /// the artifact const, so the free list is mutable).
